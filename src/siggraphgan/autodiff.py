@@ -311,16 +311,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return from_op(value, [(t, make_vjp(i)) for i, t in enumerate(tensors)], "concat")
 
 
-def stack(tensors, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    value = np.stack([t.value for t in tensors], axis=axis)
-
-    def make_vjp(i):
-        return lambda g: np.take(g, i, axis=axis)
-
-    return from_op(value, [(t, make_vjp(i)) for i, t in enumerate(tensors)], "stack")
-
-
 def cumsum(a, axis: int) -> Tensor:
     a = as_tensor(a)
 

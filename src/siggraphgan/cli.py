@@ -38,7 +38,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_VERSION = 5
 
-BASELINE_CHOICES = ("siggan-mse", "siggan-kld", "garch", "gbm")
+BASELINE_CHOICES = ("garch", "gbm")
 ABLATION_COMPONENTS = ("geometric", "recurrent", "feedforward", "skip", "dropout")
 
 HISTOGRAM_HORIZONS = (1, 5, 10)
@@ -46,7 +46,7 @@ HISTOGRAM_HORIZONS = (1, 5, 10)
 _RUN_KEY_DEFAULTS = {
     "input": None,
     "output_dir": ".",
-    "baseline": "siggan-mse",
+    "baseline": None,
     "n_samples": 200,
     "histogram_bins": 50,
 }
@@ -59,7 +59,7 @@ class RunConfig:
     model: SigGanConfig
     input: str | None
     output_dir: str
-    baseline: str
+    baseline: str | None
     n_samples: int
     histogram_bins: int
 
@@ -100,8 +100,8 @@ def parse_run_config(path) -> RunConfig:
     model = SigGanConfig(**merged)
     model.validate()
 
-    baseline = run_items.get("baseline", _RUN_KEY_DEFAULTS["baseline"])
-    if baseline not in BASELINE_CHOICES:
+    baseline = run_items.get("baseline")
+    if baseline is not None and baseline not in BASELINE_CHOICES:
         raise ConfigError(
             f"config key 'baseline' must be one of {BASELINE_CHOICES}, got {baseline!r}"
         )
@@ -293,16 +293,13 @@ def cmd_ablate(args) -> int:
 
 def cmd_baseline(args) -> int:
     run = parse_run_config(args.config)
+    if run.baseline is None:
+        raise ConfigError(f"config key 'baseline' (one of {BASELINE_CHOICES}) is required")
     seed = args.seed if args.seed is not None else run.model.seed
     prices = load_price_csv(_require_input(run))
     seq_len = run.model.seq_len
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
-    if run.baseline in ("siggan-mse", "siggan-kld"):
-        raise ConfigError(
-            "baseline command handles 'garch' and 'gbm'; use train/generate "
-            "for the GAN variants"
-        )
     if run.baseline == "garch":
         returns = log_returns(prices).values
         params = garch_fit(returns)
@@ -331,12 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker-thread hint; 1 (the default) guarantees bit-level determinism",
-        )
 
     p_train = sub.add_parser("train", help="preprocess a price CSV and train the model")
     p_train.add_argument("--config", required=True)
@@ -380,9 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -1,7 +1,8 @@
 """Network layers for the generator/discriminator blocks.
 
-Everything is built from the autodiff primitives, so reverse-mode
-gradients come for free and are pinned by the finite-difference suite.
+Everything is built from the autodiff primitives, except the LSTM
+recurrence: one op per layer whose hand-coded adjoint backpropagates
+through time. All gradients are pinned by the finite-difference suite.
 Layers operate on batched inputs shaped (batch, time, features).
 """
 
@@ -98,68 +99,80 @@ def _sigmoid(x):
     return 0.5 * (np.tanh(0.5 * x) + 1.0)
 
 
-def _lstm_cell(gates_in: Tensor, state: Tensor, w_recur, hidden: int) -> Tensor:
-    """One fused LSTM step: (B, 4H) projected input + (B, 2H) [h, c] state.
+def _lstm_sequence(gates_in: Tensor, w_recur, hidden: int) -> Tensor:
+    """Whole LSTM recurrence over a (B, T, 4H) projected input.
 
-    Returns the next (B, 2H) state. A single graph node with a hand-coded
-    adjoint; the three parent vjps share one gradient computation.
+    Returns the (B, T, H) hidden sequence from zero initial states. The
+    whole layer is one graph node: the forward loops over time steps and
+    keeps each step's gate activations, and the adjoint runs
+    backpropagation through time in one reverse loop, so the graph size
+    does not grow with T and the recurrent-weight gradient is one product
+    over all steps.
     """
-    h_prev = state.value[:, :hidden]
-    c_prev = state.value[:, hidden:]
-    pre = gates_in.value + h_prev @ w_recur.value
-    gate_i = _sigmoid(pre[:, :hidden])
-    gate_f = _sigmoid(pre[:, hidden : 2 * hidden])
-    gate_g = np.tanh(pre[:, 2 * hidden : 3 * hidden])
-    gate_o = _sigmoid(pre[:, 3 * hidden :])
-    c_new = gate_f * c_prev + gate_i * gate_g
-    tanh_c = np.tanh(c_new)
-    h_new = gate_o * tanh_c
-    out = np.concatenate([h_new, c_new], axis=1)
+    x = gates_in.value
+    w = w_recur.value
+    h = np.zeros((x.shape[0], hidden))
+    c = np.zeros_like(h)
+    saved, hs = [], []  # per step: gates, previous cell state, tanh of the cell
+    for t in range(x.shape[1]):
+        pre = x[:, t, :] + h @ w
+        gate_i = _sigmoid(pre[:, :hidden])
+        gate_f = _sigmoid(pre[:, hidden : 2 * hidden])
+        gate_g = np.tanh(pre[:, 2 * hidden : 3 * hidden])
+        gate_o = _sigmoid(pre[:, 3 * hidden :])
+        c_prev, c = c, gate_f * c + gate_i * gate_g
+        tanh_c = np.tanh(c)
+        h = gate_o * tanh_c
+        saved.append((gate_i, gate_f, gate_g, gate_o, c_prev, tanh_c))
+        hs.append(h)
+    out = np.stack(hs, axis=1)
 
     shared: dict = {}
 
-    def grads(g):
-        # backward() finalizes this node's grad before calling any vjp, so
-        # every parent sees the same g and the work can be done once
-        if "xg" not in shared:
-            gh = g[:, :hidden]
-            gc = g[:, hidden:].copy()
-            go = gh * tanh_c
-            gc += gh * gate_o * (1.0 - tanh_c * tanh_c)
-            gi = gc * gate_g
-            gf = gc * c_prev
-            gg = gc * gate_i
-            gpre = np.concatenate(
-                [
-                    gi * gate_i * (1.0 - gate_i),
-                    gf * gate_f * (1.0 - gate_f),
-                    gg * (1.0 - gate_g * gate_g),
-                    go * gate_o * (1.0 - gate_o),
-                ],
-                axis=1,
+    def bptt(g):
+        # backward() hands both parents the same g, so the reverse loop
+        # runs once and serves both vjps
+        if not shared:
+            gpre = np.empty_like(x)
+            gh_next = gc_next = 0.0
+            for t in reversed(range(len(saved))):
+                gate_i, gate_f, gate_g, gate_o, c_prev, tanh_c = saved[t]
+                gh = g[:, t, :] + gh_next
+                gc = gc_next + gh * gate_o * (1.0 - tanh_c * tanh_c)
+                gpre[:, t, :] = np.concatenate(
+                    [
+                        gc * gate_g * gate_i * (1.0 - gate_i),
+                        gc * c_prev * gate_f * (1.0 - gate_f),
+                        gc * gate_i * (1.0 - gate_g * gate_g),
+                        gh * tanh_c * gate_o * (1.0 - gate_o),
+                    ],
+                    axis=1,
+                )
+                gh_next = gpre[:, t, :] @ w.T
+                gc_next = gc * gate_f
+            shared["gates_in"] = gpre
+            # sum over steps of h_{t-1}^T @ gpre_t; h_{-1} = 0 drops t = 0
+            shared["w_recur"] = np.tensordot(
+                out[:, :-1, :], gpre[:, 1:, :], axes=([0, 1], [0, 1])
             )
-            gh_prev = gpre @ w_recur.value.T
-            gstate = np.concatenate([gh_prev, gc * gate_f], axis=1)
-            shared["xg"] = gpre
-            shared["state"] = gstate
-            shared["recur"] = h_prev.T @ gpre
         return shared
 
     return ad.from_op(
         out,
         [
-            (gates_in, lambda g: grads(g)["xg"]),
-            (state, lambda g: grads(g)["state"]),
-            (w_recur, lambda g: grads(g)["recur"]),
+            (gates_in, lambda g: bptt(g)["gates_in"]),
+            (w_recur, lambda g: bptt(g)["w_recur"]),
         ],
-        "lstm_cell",
+        "lstm",
     )
 
 
 def lstm_forward(seq, params: LSTM) -> Tensor:
     """Run an LSTM and return the full hidden sequence (batch, time, hidden).
 
-    Initial hidden and cell states are zero.
+    Initial hidden and cell states are zero. The input projection is one
+    matmul over the whole sequence; the recurrence is the single graph node
+    of `_lstm_sequence`, whose adjoint does backpropagation through time.
     """
     seq = ad.as_tensor(seq)
     if seq.value.ndim != 3:
@@ -173,19 +186,12 @@ def lstm_forward(seq, params: LSTM) -> Tensor:
         raise ShapeError("lstm needs at least one time step")
     hidden = params.hidden
 
-    # Projecting the whole sequence at once keeps the per-step graph small.
     gates_in = ad.add(
         ad.matmul(ad.reshape(seq, (batch * steps, features)), params.w_input),
         params.bias,
     )
     gates_in = ad.reshape(gates_in, (batch, steps, 4 * hidden))
-
-    state = Tensor(np.zeros((batch, 2 * hidden)))
-    outputs = []
-    for t in range(steps):
-        state = _lstm_cell(gates_in[:, t, :], state, params.w_recur, hidden)
-        outputs.append(state[:, :hidden])
-    return ad.stack(outputs, axis=1)
+    return _lstm_sequence(gates_in, params.w_recur, hidden)
 
 
 # -- graph convolution --------------------------------------------------------

@@ -459,10 +459,11 @@ def train(returns, cfg: SigGanConfig, stats: PreprocessStats | None = None) -> T
     """Adversarial training on sliding windows of a (gaussianized) series.
 
     Per batch the discriminator takes one RMSProp ascent step on the
-    signature loss (its parameters only), then the generator takes one
-    descent step with fresh noise. Both updates clip the global gradient
-    norm at 5. The per-epoch trace records the mean generator loss; the
-    discriminator's loss is its negation by construction.
+    signature loss, then the generator takes one descent step with fresh
+    noise. Each step detaches the other player's output, so its backward
+    pass walks only the stepping player's graph. Both updates clip the
+    global gradient norm at 5. The per-epoch trace records the mean loss
+    of the generator steps.
     """
     from .checkpoint import Checkpoint  # local import to avoid a cycle
 
@@ -470,9 +471,10 @@ def train(returns, cfg: SigGanConfig, stats: PreprocessStats | None = None) -> T
     values = np.asarray(returns, dtype=np.float64)
     if values.ndim != 1:
         raise ShapeError("train expects a one-dimensional return series")
-    if values.shape[0] < cfg.seq_len + cfg.batch_size:
+    min_returns = cfg.seq_len + cfg.batch_size - 1  # one full batch of windows
+    if values.shape[0] < min_returns:
         raise SizeError(
-            f"need at least seq_len + batch_size = {cfg.seq_len + cfg.batch_size} "
+            f"need at least seq_len + batch_size - 1 = {min_returns} "
             f"returns, got {values.shape[0]}"
         )
     if stats is None:
@@ -489,28 +491,34 @@ def train(returns, cfg: SigGanConfig, stats: PreprocessStats | None = None) -> T
     noise_rng = np.random.Generator(np.random.PCG64(noise_seed))
     dropout_rng = np.random.Generator(np.random.PCG64(dropout_seed))
 
-    gen_params = model.generator.parameters()
-    disc_params = model.discriminator.parameters()
     opt_disc = RmsProp(
-        disc_params,
+        model.discriminator.parameters(),
         cfg.learning_rate,
         maximize=True,
         clip_norm=GRAD_CLIP_NORM,
         trust_radius=DISC_TRUST_RADIUS,
     )
     opt_gen = RmsProp(
-        gen_params, cfg.learning_rate, maximize=False, clip_norm=GRAD_CLIP_NORM
+        model.generator.parameters(), cfg.learning_rate, clip_norm=GRAD_CLIP_NORM
     )
     loss_fn = LOSS_FUNCTIONS[cfg.loss_kind]
 
-    def batch_loss(real_windows, adjs):
+    def player_step(opt, real_windows, adjs) -> float:
+        """One step of ``opt``'s player, the other's output held constant."""
         batch = real_windows.shape[0]
         noise = noise_rng.standard_normal((batch, cfg.seq_len, cfg.noise_features))
         fake = model.generator_forward(noise, adjs, training=True, rng=dropout_rng)
+        if opt is opt_disc:
+            fake = Tensor(fake.value)  # drop the generator's graph before the critic's
         real = model.discriminator_forward(
             real_windows[:, :, np.newaxis], adjs, training=True, rng=dropout_rng
         )
-        return loss_fn(fake, real, cfg.sig_degree)
+        if opt is opt_gen:
+            real = Tensor(real.value)
+        loss = loss_fn(fake, real, cfg.sig_degree)
+        loss.backward()
+        opt.step()
+        return loss.item()
 
     epoch_losses: list[float] = []
     for epoch in range(cfg.epochs):
@@ -521,22 +529,12 @@ def train(returns, cfg: SigGanConfig, stats: PreprocessStats | None = None) -> T
             real_batch = window_values[idx]
             adj_batch = adjacencies[idx]
             try:
-                loss_d = batch_loss(real_batch, adj_batch)
-                loss_d.backward()
-                opt_disc.step()
-                for p in gen_params:
-                    p.zero_grad()
-
-                loss_g = batch_loss(real_batch, adj_batch)
-                loss_g.backward()
-                opt_gen.step()
-                for p in disc_params:
-                    p.zero_grad()
+                player_step(opt_disc, real_batch, adj_batch)
+                gen_losses.append(player_step(opt_gen, real_batch, adj_batch))
             except NumericError as exc:
                 raise NumericError(
                     f"{exc} (epoch {epoch}, batch starting at {start})"
                 ) from exc
-            gen_losses.append(loss_g.item())
         epoch_losses.append(float(np.mean(gen_losses)) if gen_losses else float("nan"))
 
     checkpoint = Checkpoint.from_model(model, cfg, stats)
@@ -563,6 +561,8 @@ def generate(
     if n_samples < 0:
         raise ConfigError("n_samples must be >= 0")
     model = checkpoint.build_model()
+    for p in model.generator.parameters():
+        p.requires_grad = False  # no backward follows, so ops keep no graph
     if n_samples == 0:
         return np.zeros((0, cfg.seq_len))
 

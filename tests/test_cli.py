@@ -310,6 +310,12 @@ class TestBaseline:
         write_config(cfg, price_csv, tmp_path, baseline="siggan-mse")
         assert cli.main(["baseline", "--config", str(cfg)]) == 2
 
+    def test_missing_baseline_key_exits_2(self, tmp_path, price_csv, capsys):
+        cfg = tmp_path / "none.cfg"
+        write_config(cfg, price_csv, tmp_path)
+        assert cli.main(["baseline", "--config", str(cfg)]) == 2
+        assert "'baseline'" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_repeat_training_byte_identical(self, tmp_path, price_csv):
@@ -325,5 +331,8 @@ class TestDeterminism:
             out2 / "loss_trace.csv"
         ).read_bytes()
 
-    def test_threads_flag_validation(self, capsys):
-        assert cli.main(["train", "--config", "x", "--threads", "0"]) == 2
+    def test_threads_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--config", "x", "--threads", "1"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err

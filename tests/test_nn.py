@@ -85,6 +85,16 @@ class TestLstm:
         with pytest.raises(ShapeError):
             lstm(ad.Tensor(np.zeros((1, 4, 5))))
 
+    def test_graph_size_independent_of_length(self):
+        # the recurrence is one graph node, not one per time step
+        rng = np.random.default_rng(4)
+        lstm = ly.LSTM(rng, 2, 3, "l")
+        sizes = []
+        for steps in (3, 50):
+            out = lstm(ad.Tensor(rng.standard_normal((2, steps, 2))))
+            sizes.append(len(ad._toposort(ad.tsum(out))))
+        assert sizes[0] == sizes[1]
+
 
 class TestGcn:
     def test_isolated_node(self):
