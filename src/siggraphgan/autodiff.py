@@ -45,13 +45,21 @@ class Tensor:
         return float(self.value)
 
     def backward(self):
-        """Accumulate gradients of this scalar into every reachable tensor."""
+        """Accumulate gradients of this scalar into every reachable leaf.
+
+        Intermediate nodes come out of `_toposort` after all their
+        consumers, so each one's gradient is final when it is reached; it
+        is pushed to the parents and then freed. Only leaves (tensors
+        without parents, such as `Parameter`) keep ``.grad`` afterwards.
+        """
         if self.value.size != 1:
             raise ShapeError("backward() requires a scalar output")
         order = _toposort(self)
         self.grad = np.ones_like(self.value)
         for node in order:
             g = node.grad
+            if node._parents:
+                node.grad = None
             if g is None:
                 continue
             for parent, vjp in node._parents:

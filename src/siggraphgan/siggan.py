@@ -551,8 +551,9 @@ def generate(
 
     Conditioning data (raw log returns) is pushed through the recorded
     preprocessing; each sample takes the next conditioning window in
-    cyclic order, builds its visibility graph, draws fresh noise, runs
-    the generator, and inverts the preprocessing on the output.
+    cyclic order, draws fresh noise, runs the generator, and inverts the
+    preprocessing on the output. Visibility graphs are built only for the
+    windows the samples draw.
 
     Returns an (n_samples, seq_len) array of log returns.
     """
@@ -569,8 +570,9 @@ def generate(
     conditioning = np.asarray(conditioning_log_returns, dtype=np.float64)
     transformed = transform_with_stats(conditioning, stats)
     window_values = windows(transformed, WindowSpec(cfg.seq_len, 1))
-    adjacencies = window_adjacencies(window_values, cfg)
     n_windows = window_values.shape[0]
+    # samples cycle through the first min(n_samples, n_windows) windows only
+    adjacencies = window_adjacencies(window_values[:n_samples], cfg)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     outputs = np.empty((n_samples, cfg.seq_len))

@@ -14,6 +14,12 @@ Two code paths compute the same quantity:
   lead-lag transform (`leadlag_signature_batch`), which exploits the fact
   that every lead-lag increment moves along a single coordinate. The
   engine also provides the exact adjoint used during GAN training.
+
+The engine works coefficient-major: its running signature is (L, B), one
+contiguous row of B values per coefficient, and the adjoint runs in the
+same layout. The snapshots the forward keeps for the adjoint hold levels
+0..degree-1 only, the rows a Chen step reads as sources. Results are
+returned row-major, (B, L), like every other signature in the package.
 """
 
 from __future__ import annotations
@@ -253,13 +259,13 @@ def _leadlag_increments(x: np.ndarray):
 
     For series values x[., 0..n-1] the path increments alternate between the
     lead coordinate and the lag coordinate, both with magnitude
-    x[., k+1] - x[., k]. Returns (steps, coords): steps is (B, 2(n-1)),
-    coords is the per-step coordinate index pattern (length 2(n-1)).
+    x[., k+1] - x[., k]. Returns (steps, coords): steps is (2(n-1), B), one
+    contiguous row of B magnitudes per step, and coords is the per-step
+    coordinate index pattern (length 2(n-1)).
     """
-    diffs = np.diff(x, axis=1)
-    b, m = diffs.shape
-    steps = np.repeat(diffs, 2, axis=1)
-    coords = np.tile(np.array([0, 1]), m)
+    diffs = np.diff(x, axis=1).T
+    steps = np.repeat(diffs, 2, axis=0)
+    coords = np.tile(np.array([0, 1]), diffs.shape[0])
     return steps, coords
 
 
@@ -275,6 +281,14 @@ def leadlag_signature_batch(series: np.ndarray, degree: int = 5) -> np.ndarray:
 
 
 def _leadlag_forward(series: np.ndarray, degree: int):
+    """Lead-lag signatures of a batch of series, plus the adjoint's cache.
+
+    The working signature is coefficient-major, (L, B), so every gather and
+    scatter of `_run_tables` moves whole contiguous rows of B values. Before
+    each Chen step the cache keeps a snapshot of levels 0..degree-1 only,
+    the rows that step reads as sources: (2(n-1), sig_length(2, degree-1),
+    B) in all. The result is returned row-major, (B, L) or (L,).
+    """
     x = np.asarray(series, dtype=np.float64)
     single = x.ndim == 1
     if single:
@@ -284,63 +298,62 @@ def _leadlag_forward(series: np.ndarray, degree: int):
     if x.shape[1] < 2:
         raise SizeError(f"lead_lag needs >= 2 points, got {x.shape[1]}")
 
-    b = x.shape[0]
     steps, coords = _leadlag_increments(x)
     tables = _run_tables(degree)
-    n_steps = steps.shape[1]
-    length = sig_length(2, degree)
-
-    sig_flat = np.zeros((b, length))
-    sig_flat[:, 0] = 1.0
-    snapshots = np.empty((n_steps, b, length))
-    for t in range(n_steps):
-        snapshots[t] = sig_flat
+    sig = np.zeros((sig_length(2, degree), x.shape[0]))
+    sig[0] = 1.0
+    snapshots = np.empty((steps.shape[0], sig_length(2, degree - 1), x.shape[0]))
+    for t, a in enumerate(steps):
         prev = snapshots[t]
-        a = steps[:, t]
-        coef = a[:, None]
+        prev[...] = sig[: prev.shape[0]]
+        coef = a
         per_run = tables[coords[t]]
         for r in range(1, degree + 1):
             dst, src = per_run[r - 1]
-            sig_flat[:, dst] += prev[:, src] * coef
-            coef = coef * a[:, None] / (r + 1)
+            sig[dst] += prev[src] * coef
+            coef = coef * a / (r + 1)
     cache = (x.shape, steps, coords, snapshots, degree)
+    sig = np.ascontiguousarray(sig.T)
     if single:
-        return sig_flat[0], cache
-    return sig_flat, cache
+        return sig[0], cache
+    return sig, cache
 
 
 def _leadlag_vjp(cache, grad_out: np.ndarray) -> np.ndarray:
-    """Exact adjoint of `_leadlag_forward` with respect to the input series."""
+    """Exact adjoint of `_leadlag_forward` with respect to the input series.
+
+    Runs in the forward's coefficient-major layout: the signature adjoint
+    is (L, B) and the step adjoint (2(n-1), B).
+    """
     (bshape, steps, coords, snapshots, degree) = cache
     g = np.asarray(grad_out, dtype=np.float64)
     single = g.ndim == 1
     if single:
         g = g[np.newaxis, :]
-    b = steps.shape[0]
     tables = _run_tables(degree)
-    grad_sig = g.copy()
+    grad_sig = np.ascontiguousarray(g.T)
     grad_steps = np.zeros_like(steps)
 
-    for t in range(steps.shape[1] - 1, -1, -1):
+    for t in range(steps.shape[0] - 1, -1, -1):
         prev = snapshots[t]
-        a = steps[:, t]
+        a = steps[t]
         per_run = tables[coords[t]]
         grad_prev = grad_sig.copy()
-        ga = np.zeros(b)
-        coef = a[:, None]  # a^r / r!
-        dcoef = np.ones((b, 1))  # d(a^r / r!)/da = a^(r-1) / (r-1)!
+        ga = grad_steps[t]
+        coef = a  # a^r / r!
+        dcoef = np.ones_like(a)  # d(a^r / r!)/da = a^(r-1) / (r-1)!
         for r in range(1, degree + 1):
             dst, src = per_run[r - 1]
-            gd = grad_sig[:, dst]
-            ga += (gd * prev[:, src] * dcoef).sum(axis=1)
-            grad_prev[:, src] += gd * coef
+            gd = grad_sig[dst]
+            # adds row by row, in word order; a pairwise sum would round differently
+            ga += (gd * prev[src] * dcoef).sum(axis=0)
+            grad_prev[src] += gd * coef
             dcoef = coef
-            coef = coef * a[:, None] / (r + 1)
-        grad_steps[:, t] = ga
+            coef = coef * a / (r + 1)
         grad_sig = grad_prev
 
     # steps repeat each series difference twice (lead move, then lag move)
-    grad_diffs = grad_steps[:, 0::2] + grad_steps[:, 1::2]
+    grad_diffs = (grad_steps[0::2] + grad_steps[1::2]).T
     grad_x = np.zeros(bshape)
     grad_x[:, 1:] += grad_diffs
     grad_x[:, :-1] -= grad_diffs

@@ -254,6 +254,20 @@ class TestBackward:
         ad.tsum(ad.mul(used, 2.0)).backward()
         assert unused.grad is None  # treated as zero downstream
 
+    def test_intermediate_grads_freed_leaf_grads_kept(self):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((4, 3))
+        w = ad.Parameter(rng.standard_normal((3, 2)), "w")
+        b = ad.Parameter(rng.standard_normal(2), "b")
+        h = ad.add(ad.matmul(ad.Tensor(x), w), b)
+        loss = ad.tsum(ad.mul(h, h))  # h feeds both operands
+        loss.backward()
+        hv = x @ w.value + b.value
+        assert np.array_equal(w.grad, x.T @ (2 * hv))
+        assert np.array_equal(b.grad, (2 * hv).sum(axis=0))
+        assert loss.grad is None and h.grad is None
+        assert all(parent.grad is None for parent, _ in h._parents if parent._parents)
+
     def test_non_scalar_backward_rejected(self):
         x = ad.Parameter(np.ones(3), "x")
         with pytest.raises(ShapeError):

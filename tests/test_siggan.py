@@ -447,6 +447,21 @@ class TestGenerate:
         b = generate(ckpt, returns, 5, seed=2)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n_samples", [7, 200])
+    def test_graphs_only_for_drawn_windows(self, monkeypatch, n_samples):
+        ckpt, returns = self.make_checkpoint()
+        n_windows = returns.shape[0] - ckpt.config.seq_len + 1
+        calls = []
+        natural_visibility = sg.natural_visibility
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return natural_visibility(*args, **kwargs)
+
+        monkeypatch.setattr(sg, "natural_visibility", counted)
+        generate(ckpt, returns, n_samples, seed=1)
+        assert len(calls) == min(n_samples, n_windows)
+
 
 class TestCheckpointRoundTrip:
     def test_save_load_bit_exact_forward(self, tmp_path):
