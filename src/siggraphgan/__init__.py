@@ -39,7 +39,7 @@ from .signature import (
     segment_signature,
     sig_length,
 )
-from .visibility import VisibilityGraph, brute_force_visibility, degree_sequence, natural_visibility
+from .visibility import VisibilityGraph, degree_sequence, natural_visibility
 
 __all__ = [
     "__version__",
@@ -56,7 +56,6 @@ __all__ = [
     "SignatureVector",
     "VisibilityGraph",
     "WindowSpec",
-    "brute_force_visibility",
     "build_report",
     "chen_concat",
     "cumulative_signature",

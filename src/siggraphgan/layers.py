@@ -198,15 +198,19 @@ def lstm_forward(seq, params: LSTM) -> Tensor:
 
 
 def normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """Self-loop-augmented symmetric normalization D^-1/2 (A + I) D^-1/2."""
+    """Self-loop-augmented symmetric normalization D^-1/2 (A + I) D^-1/2.
+
+    Accepts one (n, n) adjacency or a stack (..., n, n); each matrix is
+    normalized on its own.
+    """
     a = np.asarray(adjacency, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise GraphError(f"adjacency must be square, got shape {a.shape}")
-    if np.any(np.diag(a) != 0.0):
+    if np.any(np.diagonal(a, axis1=-2, axis2=-1) != 0.0):
         raise GraphError("adjacency diagonal must be zero before self-loops")
-    a_tilde = a + np.eye(a.shape[0])
-    inv_sqrt_deg = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-    return a_tilde * np.outer(inv_sqrt_deg, inv_sqrt_deg)
+    a_tilde = a + np.eye(a.shape[-1])
+    inv_sqrt_deg = 1.0 / np.sqrt(a_tilde.sum(axis=-1))
+    return a_tilde * (inv_sqrt_deg[..., :, np.newaxis] * inv_sqrt_deg[..., np.newaxis, :])
 
 
 def gcn_apply(h, norm_adjacency, theta) -> Tensor:
@@ -219,11 +223,6 @@ def gcn_apply(h, norm_adjacency, theta) -> Tensor:
     return ad.tanh(ad.matmul(mixed, theta))
 
 
-def gcn_forward(h, adjacency, theta) -> Tensor:
-    """Graph convolution tanh(D^-1/2 (A+I) D^-1/2 H Theta) on one graph."""
-    return gcn_apply(h, normalized_adjacency(adjacency), theta)
-
-
 # -- losses -------------------------------------------------------------------
 
 
@@ -234,20 +233,3 @@ def mse(a, b) -> Tensor:
         raise ShapeError(f"mse shapes differ: {a.value.shape} vs {b.value.shape}")
     d = ad.sub(a, b)
     return ad.tmean(ad.mul(d, d))
-
-
-def kl_divergence(p, q) -> Tensor:
-    """Kullback-Leibler divergence sum(p * ln(p / q)) along the last axis.
-
-    Both inputs must be strictly positive (softmax output upstream). For
-    batched input the per-row divergences are averaged.
-    """
-    p, q = ad.as_tensor(p), ad.as_tensor(q)
-    if p.value.shape != q.value.shape:
-        raise ShapeError(
-            f"kl_divergence shapes differ: {p.value.shape} vs {q.value.shape}"
-        )
-    per_row = ad.tsum(ad.mul(p, ad.sub(ad.log(p), ad.log(q))), axis=-1)
-    if per_row.value.ndim == 0:
-        return per_row
-    return ad.tmean(per_row)

@@ -28,7 +28,7 @@ from .errors import ConfigError, NumericError, ShapeError, SizeError
 from .optim import RmsProp
 from .preprocess import PreprocessStats, WindowSpec, invert_pipeline, transform_with_stats, windows
 from .signature import _leadlag_forward, _leadlag_vjp, sig_length
-from .visibility import natural_visibility
+from .visibility import VisibilityGraph, natural_visibility
 
 GRAD_CLIP_NORM = 5.0
 
@@ -264,7 +264,7 @@ def sig_mse_loss(fake, real, degree: int = 5) -> Tensor:
 def _softmax_kl(logits_p: Tensor, logits_q: Tensor) -> Tensor:
     """KL(softmax(p) || softmax(q)) computed in the logit domain.
 
-    Equivalent to `kl_divergence` of the two softmaxes but immune to the
+    Equivalent to sum(p * ln(p / q)) of the two softmaxes but immune to the
     probability underflow that raw signature coefficients provoke.
     """
     p = ad.softmax(logits_p, axis=-1)
@@ -436,17 +436,20 @@ class SigGraphGan:
 # -- training and generation --------------------------------------------------
 
 
-def window_adjacencies(window_values: np.ndarray, cfg: SigGanConfig) -> np.ndarray:
-    """Normalized visibility adjacency of each window, stacked (B, T, T)."""
-    directed = cfg.graph_direction == "left_to_right"
-    return np.stack(
-        [
-            ly.normalized_adjacency(
-                natural_visibility(w, directed=directed).adjacency
-            )
-            for w in window_values
-        ]
+def series_graph(series: np.ndarray, cfg: SigGanConfig) -> VisibilityGraph:
+    """Visibility graph of a whole series, banded to one window's lags."""
+    return natural_visibility(
+        series, directed=cfg.graph_direction == "left_to_right", max_lag=cfg.seq_len - 1
     )
+
+
+def window_adjacencies(graph: VisibilityGraph, starts: np.ndarray, cfg: SigGanConfig) -> np.ndarray:
+    """Normalized visibility adjacency (B, T, T) of the windows at ``starts``.
+
+    Each window's graph is the induced subgraph of the series graph, so it
+    is sliced from ``graph`` rather than built again.
+    """
+    return ly.normalized_adjacency(graph.windows(starts, cfg.seq_len))
 
 
 @dataclass
@@ -464,6 +467,10 @@ def train(returns, cfg: SigGanConfig, stats: PreprocessStats | None = None) -> T
     pass walks only the stepping player's graph. Both updates clip the
     global gradient norm at 5. The per-epoch trace records the mean loss
     of the generator steps.
+
+    One visibility graph is built over the whole series, with lags up to
+    seq_len - 1; each batch slices and normalizes the adjacency of its own
+    windows, which both player steps share.
     """
     from .checkpoint import Checkpoint  # local import to avoid a cycle
 
@@ -481,7 +488,7 @@ def train(returns, cfg: SigGanConfig, stats: PreprocessStats | None = None) -> T
         stats = PreprocessStats(mean=0.0, std=1.0, delta=0.0)
 
     window_values = windows(values, WindowSpec(cfg.seq_len, 1))
-    adjacencies = window_adjacencies(window_values, cfg)
+    graph = series_graph(values, cfg)
     n_windows = window_values.shape[0]
 
     seed_seq = np.random.SeedSequence(cfg.seed)
@@ -527,7 +534,7 @@ def train(returns, cfg: SigGanConfig, stats: PreprocessStats | None = None) -> T
         for start in range(0, n_windows - cfg.batch_size + 1, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             real_batch = window_values[idx]
-            adj_batch = adjacencies[idx]
+            adj_batch = window_adjacencies(graph, idx, cfg)
             try:
                 player_step(opt_disc, real_batch, adj_batch)
                 gen_losses.append(player_step(opt_gen, real_batch, adj_batch))
@@ -552,8 +559,9 @@ def generate(
     Conditioning data (raw log returns) is pushed through the recorded
     preprocessing; each sample takes the next conditioning window in
     cyclic order, draws fresh noise, runs the generator, and inverts the
-    preprocessing on the output. Visibility graphs are built only for the
-    windows the samples draw.
+    preprocessing on the output. One visibility graph is built, over just
+    the points of the windows the samples draw, and each chunk of samples
+    slices its windows' adjacency from it.
 
     Returns an (n_samples, seq_len) array of log returns.
     """
@@ -569,10 +577,9 @@ def generate(
 
     conditioning = np.asarray(conditioning_log_returns, dtype=np.float64)
     transformed = transform_with_stats(conditioning, stats)
-    window_values = windows(transformed, WindowSpec(cfg.seq_len, 1))
-    n_windows = window_values.shape[0]
+    n_windows = windows(transformed, WindowSpec(cfg.seq_len, 1)).shape[0]
     # samples cycle through the first min(n_samples, n_windows) windows only
-    adjacencies = window_adjacencies(window_values[:n_samples], cfg)
+    graph = series_graph(transformed[: min(n_samples, n_windows) + cfg.seq_len - 1], cfg)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     outputs = np.empty((n_samples, cfg.seq_len))
@@ -580,7 +587,7 @@ def generate(
     for start in range(0, n_samples, chunk):
         size = min(chunk, n_samples - start)
         idx = (start + np.arange(size)) % n_windows
-        adjs = adjacencies[idx]
+        adjs = window_adjacencies(graph, idx, cfg)
         noise = rng.standard_normal((size, cfg.seq_len, cfg.noise_features))
         fake = model.generator_forward(noise, adjs, training=False)
         outputs[start : start + size] = fake.value[:, :, 0]

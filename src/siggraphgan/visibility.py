@@ -1,4 +1,4 @@
-"""Natural visibility graphs of time-series windows.
+"""Natural visibility graphs of time series.
 
 Each observation becomes a node; two observations are linked when every
 point between them lies strictly below the straight chord joining them:
@@ -8,6 +8,14 @@ point between them lies strictly below the straight chord joining them:
 Ties block visibility. Consecutive observations always see each other.
 Graphs are either undirected (symmetric adjacency) or directed left to
 right (strictly upper-triangular adjacency).
+
+A graph is stored as a lag table: ``sees[i, d - 1]`` says whether point i
+sees point i + d, for lags d up to a limit. Whether i sees j depends only
+on the points from i to j, so the graph of any window of the series is the
+induced subgraph of the series' graph on that window's nodes. The graph of
+every length-T window is therefore a slice of one table built over the
+whole series with lags up to T - 1, and the adjacency of the whole series
+is the window that starts at 0 and spans all n points.
 """
 
 from __future__ import annotations
@@ -16,25 +24,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphError, OrderingError, ShapeError, SizeError
+from .errors import OrderingError, ShapeError, SizeError
 
 
 @dataclass
 class VisibilityGraph:
-    """Binary adjacency of a visibility graph over n time observations."""
+    """Visibility graph over n time observations, held as a lag table.
 
-    adjacency: np.ndarray
+    ``sees`` is an (n, max_lag) boolean array whose entry [i, d - 1] means
+    "i sees i + d". Pairs further apart than ``max_lag`` are not linked.
+    """
+
+    sees: np.ndarray
     directed: bool
-
-    def __post_init__(self):
-        a = np.asarray(self.adjacency)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise GraphError(f"adjacency must be square, got shape {a.shape}")
-        self.adjacency = a.astype(np.int8)
 
     @property
     def n(self) -> int:
-        return self.adjacency.shape[0]
+        return self.sees.shape[0]
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """Dense (n, n) int8 adjacency of the whole series."""
+        return self.windows([0], self.n)[0]
+
+    def windows(self, starts, size: int) -> np.ndarray:
+        """Adjacency of the windows of ``size`` points at ``starts``, (B, size, size) int8."""
+        starts = np.asarray(starts, dtype=np.int64)
+        if starts.size and (starts.min() < 0 or starts.max() + size > self.n):
+            raise SizeError(f"windows of {size} points must start in 0..{self.n - size}")
+        max_lag = self.sees.shape[1]
+        node = np.arange(size)
+        lag = node[np.newaxis, :] - node[:, np.newaxis]  # lag[i, j] = j - i
+        rows = starts[:, np.newaxis, np.newaxis] + node[np.newaxis, :, np.newaxis]
+        linked = self.sees[rows, np.clip(lag - 1, 0, max_lag - 1)]
+        linked &= (lag >= 1) & (lag <= max_lag)
+        if not self.directed:
+            linked |= linked.transpose(0, 2, 1)
+        return linked.astype(np.int8)
 
     def edges(self) -> np.ndarray:
         """Edge list as an (m, 2) array of 0-indexed node pairs.
@@ -71,51 +97,31 @@ def _check_inputs(values, timestamps):
     return s, t
 
 
-def natural_visibility(values, timestamps=None, directed: bool = False) -> VisibilityGraph:
+def natural_visibility(
+    values, timestamps=None, directed: bool = False, max_lag: int | None = None
+) -> VisibilityGraph:
     """Build the natural visibility graph of a series.
 
-    Uses the O(n^2) scan: for a fixed left node i, node j is visible
-    exactly when the slope from i to j strictly exceeds the running
-    maximum slope from i to every intermediate point. Timestamps default
-    to 0, 1, 2, ... when not supplied.
+    Uses the O(n * max_lag) scan: for a fixed left node i, node j is
+    visible exactly when the slope from i to j strictly exceeds the
+    running maximum slope from i to every intermediate point. Each left
+    node looks at most ``max_lag`` points ahead; the default scans the
+    whole series. Every window of up to ``max_lag + 1`` points can then be
+    sliced from the result with `VisibilityGraph.windows`. Timestamps
+    default to 0, 1, 2, ... when not supplied.
     """
     s, t = _check_inputs(values, timestamps)
     n = s.shape[0]
-    vis = np.zeros((n, n), dtype=bool)
+    if max_lag is not None and max_lag < 1:
+        raise SizeError(f"max_lag must be >= 1, got {max_lag}")
+    lags = n - 1 if max_lag is None else min(max_lag, n - 1)
+    sees = np.zeros((n, lags), dtype=bool)
     for i in range(n - 1):
-        slopes = (s[i + 1 :] - s[i]) / (t[i + 1 :] - t[i])
-        visible = np.empty(slopes.shape[0], dtype=bool)
-        visible[0] = True  # no intermediate point
-        if slopes.shape[0] > 1:
-            visible[1:] = slopes[1:] > np.maximum.accumulate(slopes)[:-1]
-        vis[i, i + 1 :] = visible
-    adjacency = vis if directed else (vis | vis.T)
-    return VisibilityGraph(adjacency.astype(np.int8), directed)
-
-
-def brute_force_visibility(values, timestamps=None, directed: bool = False) -> VisibilityGraph:
-    """Oracle construction: evaluate the chord criterion for every triple.
-
-    No early exits and no slope reformulation; every (i, j, k) chord
-    inequality is checked directly. Limited to n <= 512.
-    """
-    s, t = _check_inputs(values, timestamps)
-    n = s.shape[0]
-    if n > 512:
-        raise SizeError(f"brute-force oracle limited to n <= 512, got {n}")
-    vis = np.zeros((n, n), dtype=bool)
-    for i in range(n - 1):
-        rel_t = t[i + 1 :] - t[i]
-        rel_s = s[i + 1 :] - s[i]
-        # chord[j, k] = height of the (i, j) chord at intermediate time t_k
-        chord = s[i] + np.outer(rel_s / rel_t, rel_t)
-        blocked = s[np.newaxis, i + 1 :] >= chord
-        # only k strictly between i and j counts
-        j_idx, k_idx = np.indices(blocked.shape)
-        blocked &= k_idx < j_idx
-        vis[i, i + 1 :] = ~blocked.any(axis=1)
-    adjacency = vis if directed else (vis | vis.T)
-    return VisibilityGraph(adjacency.astype(np.int8), directed)
+        stop = min(n, i + 1 + lags)
+        slopes = (s[i + 1 : stop] - s[i]) / (t[i + 1 : stop] - t[i])
+        sees[i, 0] = True  # no intermediate point
+        sees[i, 1 : stop - i - 1] = slopes[1:] > np.maximum.accumulate(slopes)[:-1]
+    return VisibilityGraph(sees, directed)
 
 
 def degree_sequence(graph: VisibilityGraph) -> np.ndarray:

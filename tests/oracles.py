@@ -1,13 +1,16 @@
 """Independent reference implementations used only by the test suite.
 
 These deliberately avoid the package's own algorithms: iterated integrals
-come from nested Gauss-Legendre quadrature over the order simplex, and
-the Wasserstein-1 distance comes from an explicit linear-programming
-transportation solve.
+come from nested Gauss-Legendre quadrature over the order simplex, the
+Wasserstein-1 distance comes from an explicit linear-programming
+transportation solve, and visibility graphs come from checking the chord
+criterion for every triple of points.
 """
 
 import numpy as np
 from scipy.optimize import linprog
+
+from siggraphgan.errors import SizeError
 
 
 def iterated_integral_quadrature(points, word, n_nodes: int = 12) -> float:
@@ -43,6 +46,34 @@ def iterated_integral_quadrature(points, word, n_nodes: int = 12) -> float:
         return total
 
     return level_value(len(word), float(n_segments))
+
+
+def brute_force_visibility(values, timestamps=None, directed: bool = False) -> np.ndarray:
+    """Dense (n, n) int8 visibility adjacency from every chord inequality.
+
+    No early exits and no slope reformulation; every (i, j, k) chord
+    inequality is checked directly. Timestamps default to 0, 1, 2, ...
+    Limited to n <= 512.
+    """
+    s = np.asarray(values, dtype=np.float64)
+    n = s.shape[0]
+    if n > 512:
+        raise SizeError(f"brute-force oracle limited to n <= 512, got {n}")
+    t = np.arange(n) if timestamps is None else timestamps
+    t = np.asarray(t, dtype=np.float64)
+    vis = np.zeros((n, n), dtype=bool)
+    for i in range(n - 1):
+        rel_t = t[i + 1 :] - t[i]
+        rel_s = s[i + 1 :] - s[i]
+        # chord[j, k] = height of the (i, j) chord at intermediate time t_k
+        chord = s[i] + np.outer(rel_s / rel_t, rel_t)
+        blocked = s[np.newaxis, i + 1 :] >= chord
+        # only k strictly between i and j counts
+        j_idx, k_idx = np.indices(blocked.shape)
+        blocked &= k_idx < j_idx
+        vis[i, i + 1 :] = ~blocked.any(axis=1)
+    adjacency = vis if directed else (vis | vis.T)
+    return adjacency.astype(np.int8)
 
 
 def emd_lp(xs, ys) -> float:

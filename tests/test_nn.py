@@ -7,6 +7,7 @@ from siggraphgan import layers as ly
 from siggraphgan import visibility as vg
 from siggraphgan.errors import ConfigError, GraphError, NumericError, ShapeError
 from siggraphgan.optim import RmsProp
+from siggraphgan.siggan import _softmax_kl, sig_kld_loss
 
 
 def parameterize(rng, shape, name):
@@ -96,21 +97,26 @@ class TestLstm:
         assert sizes[0] == sizes[1]
 
 
+def gcn(h, adjacency, theta):
+    """Graph convolution as the model runs it: normalize, then apply."""
+    return ly.gcn_apply(h, ly.normalized_adjacency(adjacency), theta)
+
+
 class TestGcn:
     def test_isolated_node(self):
         h = np.array([[0.4, -0.2]])
         theta = ad.Parameter(np.array([[1.0, 0.0], [0.5, -1.0]]), "t")
-        out = ly.gcn_forward(ad.Tensor(h), np.zeros((1, 1)), theta)
+        out = gcn(ad.Tensor(h), np.zeros((1, 1)), theta)
         assert out.value == pytest.approx(np.tanh(h @ theta.value))
 
     def test_disconnected_nodes_independent(self):
         h = np.array([[1.0], [2.0]])
         theta = ad.Parameter(np.array([[0.7]]), "t")
-        out = ly.gcn_forward(ad.Tensor(h), np.zeros((2, 2)), theta)
+        out = gcn(ad.Tensor(h), np.zeros((2, 2)), theta)
         assert out.value == pytest.approx(np.tanh(h * 0.7))
 
     def test_two_connected_nodes_average(self):
-        out = ly.gcn_forward(
+        out = gcn(
             ad.Tensor(np.array([[1.0], [3.0]])),
             np.array([[0.0, 1.0], [1.0, 0.0]]),
             ad.Parameter(np.array([[1.0]]), "t"),
@@ -123,19 +129,26 @@ class TestGcn:
         adjacency = vg.natural_visibility(series).adjacency.astype(float)
         h = rng.standard_normal((7, 3))
         theta = ad.Parameter(rng.standard_normal((3, 2)), "t")
-        base = ly.gcn_forward(ad.Tensor(h), adjacency, theta).value
+        base = gcn(ad.Tensor(h), adjacency, theta).value
         perm = rng.permutation(7)
-        permuted = ly.gcn_forward(
+        permuted = gcn(
             ad.Tensor(h[perm]), adjacency[np.ix_(perm, perm)], theta
         ).value
         assert permuted == pytest.approx(base[perm])
 
     def test_graph_errors(self):
-        theta = ad.Parameter(np.zeros((1, 1)), "t")
         with pytest.raises(GraphError):
-            ly.gcn_forward(ad.Tensor(np.zeros((2, 1))), np.zeros((2, 3)), theta)
+            ly.normalized_adjacency(np.zeros((2, 3)))
         with pytest.raises(GraphError):
-            ly.gcn_forward(ad.Tensor(np.zeros((2, 1))), np.eye(2), theta)
+            ly.normalized_adjacency(np.zeros(3))
+        with pytest.raises(GraphError):
+            ly.normalized_adjacency(np.eye(2))
+        batch = np.zeros((3, 4, 4))
+        batch[1, 2, 2] = 1.0  # one self-loop in the middle of a stack
+        with pytest.raises(GraphError):
+            ly.normalized_adjacency(batch)
+        with pytest.raises(GraphError):
+            ly.normalized_adjacency(np.zeros((3, 4, 5)))
 
 
 class TestActivations:
@@ -205,21 +218,22 @@ class TestDropout:
 
 class TestLossOps:
     def test_kl_zero_on_equal(self):
-        p = ad.softmax(ad.Tensor(np.array([0.3, -1.0, 2.0])))
-        assert ly.kl_divergence(p, p).item() == pytest.approx(0.0, abs=1e-15)
+        logits = ad.Tensor(np.array([0.3, -1.0, 2.0]))
+        assert _softmax_kl(logits, logits).item() == pytest.approx(0.0, abs=1e-15)
 
     def test_kl_hand_value(self):
-        p = ad.Tensor(np.array([0.5, 0.5]))
-        q = ad.Tensor(np.array([0.25, 0.75]))
+        # softmax([0, 0]) = (1/2, 1/2) and softmax([0, ln 3]) = (1/4, 3/4)
+        p = ad.Tensor(np.array([0.0, 0.0]))
+        q = ad.Tensor(np.array([0.0, np.log(3.0)]))
         expected = 0.5 * np.log(2.0) - 0.5 * np.log(1.5)
-        assert ly.kl_divergence(p, q).item() == pytest.approx(expected, abs=1e-12)
+        assert _softmax_kl(p, q).item() == pytest.approx(expected, abs=1e-12)
 
     def test_kl_nonnegative_sweep(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
-            p = ad.softmax(ad.Tensor(rng.standard_normal(6)))
-            q = ad.softmax(ad.Tensor(rng.standard_normal(6)))
-            assert ly.kl_divergence(p, q).item() >= -1e-12
+            p = ad.Tensor(rng.standard_normal(6))
+            q = ad.Tensor(rng.standard_normal(6))
+            assert _softmax_kl(p, q).item() >= -1e-12
 
     def test_mse_examples(self):
         a = ad.Tensor(np.array([0.0, 0.0]))
@@ -232,7 +246,7 @@ class TestLossOps:
         with pytest.raises(ShapeError):
             ly.mse(ad.Tensor(np.zeros(3)), ad.Tensor(np.zeros(4)))
         with pytest.raises(ShapeError):
-            ly.kl_divergence(ad.Tensor(np.ones(3) / 3), ad.Tensor(np.ones(4) / 4))
+            sig_kld_loss(ad.Tensor(np.zeros((2, 5, 1))), ad.Tensor(np.zeros((2, 6, 1))))
 
 
 class TestBackward:
@@ -309,7 +323,7 @@ class TestGradientSuite:
             h = ad.Parameter(rng.standard_normal((n, fan_in)), "h")
             theta = parameterize(rng, (fan_in, fan_out), "theta")
             err = gradient_check(
-                lambda: ad.tsum(ly.gcn_forward(h, adjacency, theta)), [h, theta]
+                lambda: ad.tsum(gcn(h, adjacency, theta)), [h, theta]
             )
             assert err <= 1e-4
 
@@ -326,7 +340,7 @@ class TestGradientSuite:
             logits = ad.Parameter(rng.standard_normal((2, size)), "lp")
             other = ad.Tensor(rng.standard_normal((2, size)))
             err = gradient_check(
-                lambda: ly.kl_divergence(ad.softmax(logits), ad.softmax(other)),
+                lambda: _softmax_kl(logits, other),
                 [logits],
             )
             assert err <= 1e-4
