@@ -251,16 +251,6 @@ def matmul(a, b) -> Tensor:
     return from_op(value, [(a, grad_a), (b, grad_b)], "matmul")
 
 
-def power(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
-    value = a.value**exponent
-    return from_op(
-        value,
-        [(a, lambda g: g * exponent * a.value ** (exponent - 1.0))],
-        "power",
-    )
-
-
 # -- reductions and shape plumbing ------------------------------------------
 
 
@@ -335,13 +325,6 @@ def tanh(a) -> Tensor:
     a = as_tensor(a)
     y = np.tanh(a.value)
     return from_op(y, [(a, lambda g: g * (1.0 - y * y))], "tanh")
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    # overflow-free identity: sigma(x) = (tanh(x/2) + 1) / 2
-    y = 0.5 * (np.tanh(0.5 * a.value) + 1.0)
-    return from_op(y, [(a, lambda g: g * y * (1.0 - y))], "sigmoid")
 
 
 def exp(a) -> Tensor:

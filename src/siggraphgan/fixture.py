@@ -13,7 +13,6 @@ import importlib.resources
 
 import numpy as np
 
-from .ioutil import atomic_write_text
 from .preprocess import PriceSeries
 
 FIXTURE_SEED = 20100104
@@ -40,10 +39,6 @@ def fixture_csv_text() -> str:
     for date, close in zip(prices.timestamps, prices.closes):
         lines.append(f"{date.isoformat()},{float(close)!r}")
     return "\n".join(lines) + "\n"
-
-
-def write_fixture_csv(path):
-    atomic_write_text(path, fixture_csv_text())
 
 
 def fixture_path() -> str:

@@ -5,7 +5,9 @@ The report covers three families over 1/5/20/100-day horizons:
 * earth mover's distance between the empirical distributions of k-day
   cumulative returns;
 * RMSE between expected truncated signatures of lead-lag-embedded windows
-  of the k-day aggregated series;
+  of the k-day aggregated series. The expectation is the mean over every
+  sliding window, computed by `leadlag_window_mean` from per-block prefix
+  and suffix signatures, so no window is signed on its own;
 * a leverage-effect score comparing the correlation profiles between
   returns and future squared returns.
 
@@ -20,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError, SizeError
-from .preprocess import WindowSpec, windows
-from .signature import leadlag_signature_batch, sig_length
+from .signature import leadlag_signature_batch, leadlag_window_mean
 
 HORIZONS = (1, 5, 20, 100)
 
@@ -79,11 +80,9 @@ def emd_1d(xs, ys) -> float:
     return float(np.sum(np.abs(fx - fy) * widths))
 
 
-def expected_leadlag_signature(window_values: np.ndarray, degree: int = 5) -> np.ndarray:
-    """Mean flat signature over a (num_windows, length) window stack."""
-    return leadlag_signature_batch(np.asarray(window_values, dtype=np.float64), degree).mean(
-        axis=0
-    )
+def expected_leadlag_signature(series, points: int, degree: int = 5) -> np.ndarray:
+    """Mean flat lead-lag signature over all windows of ``points`` values of a 1-D series."""
+    return leadlag_window_mean(series, points, degree)
 
 
 def sig_rmse(real_windows, fake_windows, k: int = 1, degree: int = 5) -> float:
@@ -105,8 +104,8 @@ def sig_rmse(real_windows, fake_windows, k: int = 1, degree: int = 5) -> float:
             )
     agg_real = np.stack([k_day_aggregate(w, k) for w in real])
     agg_fake = np.stack([k_day_aggregate(w, k) for w in fake])
-    mean_real = expected_leadlag_signature(agg_real, degree)
-    mean_fake = expected_leadlag_signature(agg_fake, degree)
+    mean_real = leadlag_signature_batch(agg_real, degree).mean(axis=0)
+    mean_fake = leadlag_signature_batch(agg_fake, degree).mean(axis=0)
     return float(np.sqrt(np.mean((mean_real - mean_fake) ** 2)))
 
 
@@ -175,7 +174,10 @@ def build_report(real_returns, fake_returns, degree: int = 5) -> MetricsReport:
     returns; EMD compares those samples directly, while Sig-RMSE compares
     expected signatures over sliding windows of the aggregated series
     (window length fixed at SIG_WINDOW_POINTS aggregated observations).
-    Identical inputs with identical windowing give exact zeros.
+    Each expected signature is the mean over every such window, built by
+    `expected_leadlag_signature` from per-block prefix and suffix
+    signatures rather than by signing a stack of windows. Identical inputs
+    give exact zeros, because the same arithmetic runs on both sides.
     """
     real = np.asarray(real_returns, dtype=np.float64)
     fake = np.asarray(fake_returns, dtype=np.float64)
@@ -191,9 +193,8 @@ def build_report(real_returns, fake_returns, degree: int = 5) -> MetricsReport:
         agg_real = k_day_aggregate(real, k)
         agg_fake = k_day_aggregate(fake, k)
         values[f"EMD({k})"] = emd_1d(agg_real, agg_fake)
-        spec = WindowSpec(SIG_WINDOW_POINTS, 1)
-        sig_real = expected_leadlag_signature(windows(agg_real, spec), degree)
-        sig_fake = expected_leadlag_signature(windows(agg_fake, spec), degree)
+        sig_real = expected_leadlag_signature(agg_real, SIG_WINDOW_POINTS, degree)
+        sig_fake = expected_leadlag_signature(agg_fake, SIG_WINDOW_POINTS, degree)
         values[f"Sig-RMSE({k})"] = float(np.sqrt(np.mean((sig_real - sig_fake) ** 2)))
     values["Leverage Effect"] = leverage_effect_score(real, fake)
     return MetricsReport(values)

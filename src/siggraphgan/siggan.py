@@ -577,7 +577,11 @@ def generate(
 
     conditioning = np.asarray(conditioning_log_returns, dtype=np.float64)
     transformed = transform_with_stats(conditioning, stats)
-    n_windows = windows(transformed, WindowSpec(cfg.seq_len, 1)).shape[0]
+    n_windows = transformed.shape[0] - cfg.seq_len + 1
+    if n_windows < 1:
+        raise SizeError(
+            f"series of length {transformed.shape[0]} is shorter than window length {cfg.seq_len}"
+        )
     # samples cycle through the first min(n_samples, n_windows) windows only
     graph = series_graph(transformed[: min(n_samples, n_windows) + cfg.seq_len - 1], cfg)
 

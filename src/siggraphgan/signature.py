@@ -15,6 +15,11 @@ Two code paths compute the same quantity:
   that every lead-lag increment moves along a single coordinate. The
   engine also provides the exact adjoint used during GAN training.
 
+A third routine, `leadlag_window_mean`, computes the mean lead-lag
+signature over all sliding windows of one series from per-block prefix
+and suffix signatures, with the engine's Chen step; its oracle is the
+engine applied to the stacked windows, then averaged.
+
 The engine works coefficient-major: its running signature is (L, B), one
 contiguous row of B values per coefficient, and the adjoint runs in the
 same layout. The snapshots the forward keeps for the adjoint hold levels
@@ -254,6 +259,36 @@ def _run_tables(degree: int):
     return tables
 
 
+@lru_cache(maxsize=None)
+def _word_reversal(degree: int) -> np.ndarray:
+    """For d = 2: flat index of the reversal of every word through ``degree``.
+
+    Within level k a word's index is its letters read as k bits, first
+    letter most significant, so reversing the word reverses those bits.
+    """
+    parts = []
+    for k, offset in enumerate(level_offsets(2, degree)[:-1]):
+        index = np.arange(2**k)
+        reversed_bits = np.zeros_like(index)
+        for bit in range(k):
+            reversed_bits |= ((index >> bit) & 1) << (k - 1 - bit)
+        parts.append(offset + reversed_bits)
+    return np.concatenate(parts)
+
+
+def _chen_step(sig: np.ndarray, prev: np.ndarray, a: np.ndarray, per_run) -> None:
+    """Append one single-coordinate segment to a coefficient-major signature.
+
+    ``sig`` is (L, B) and is updated in place; ``prev`` holds its levels
+    0..degree-1 from before the step, ``a`` the B segment magnitudes and
+    ``per_run`` the `_run_tables` entry of the segment's coordinate.
+    """
+    coef = a
+    for r, (dst, src) in enumerate(per_run, start=1):
+        sig[dst] += prev[src] * coef
+        coef = coef * a / (r + 1)
+
+
 def _leadlag_increments(x: np.ndarray):
     """Increment magnitudes of the lead-lag path of each series in a batch.
 
@@ -306,12 +341,7 @@ def _leadlag_forward(series: np.ndarray, degree: int):
     for t, a in enumerate(steps):
         prev = snapshots[t]
         prev[...] = sig[: prev.shape[0]]
-        coef = a
-        per_run = tables[coords[t]]
-        for r in range(1, degree + 1):
-            dst, src = per_run[r - 1]
-            sig[dst] += prev[src] * coef
-            coef = coef * a / (r + 1)
+        _chen_step(sig, prev, a, tables[coords[t]])
     cache = (x.shape, steps, coords, snapshots, degree)
     sig = np.ascontiguousarray(sig.T)
     if single:
@@ -360,3 +390,81 @@ def _leadlag_vjp(cache, grad_out: np.ndarray) -> np.ndarray:
     if single:
         return grad_x[0]
     return grad_x
+
+
+def leadlag_window_mean(series, points: int, degree: int = 5) -> np.ndarray:
+    """Mean lead-lag signature over every window of ``points`` consecutive values.
+
+    Equals ``leadlag_signature_batch`` of the stacked sliding windows,
+    averaged, up to rounding, without signing any window on its own. The
+    n - 1 increments of the series are cut into blocks of m = points - 1,
+    the last one padded with zero increments, whose signature is the
+    identity. Write prefix_q[r] for the signature of the first r increments
+    of block q and suffix_q[r] for the rest of that block; by Chen's
+    identity the window starting at s = q*m + r is
+    suffix_q[r] (x) prefix_{q+1}[r]. So level k of the mean over the
+    W = n - points + 1 windows is sum_{i+j=k} S_i^T P_j / W, where column s
+    of S_i and P_j holds level i of suffix_q[r] and level j of
+    prefix_{q+1}[r].
+
+    Both scans run the engine's Chen step with the blocks as columns. A
+    suffix is a prepend, which the step cannot do, but word reversal turns
+    tensor products around and fixes every segment's exponential: running
+    a block's increments backwards, each lag move before its lead move,
+    signs the reversed suffixes, and `_word_reversal` undoes that.
+    """
+    x = np.asarray(series, dtype=np.float64)
+    if x.ndim != 1:
+        raise ShapeError(f"window mean expects a one-dimensional series, got shape {x.shape}")
+    if points < 2:
+        raise SizeError(f"lead_lag needs >= 2 points, got {points}")
+    if x.shape[0] < points:
+        raise SizeError(f"series of length {x.shape[0]} is shorter than one window of {points}")
+
+    m = points - 1
+    n_windows = x.shape[0] - m
+    n_blocks = (n_windows - 1) // m + 2  # the last window ends in the block after its start's
+    diffs = np.zeros(n_blocks * m)
+    diffs[: x.shape[0] - 1] = np.diff(x)
+    increments = np.ascontiguousarray(diffs.reshape(n_blocks, m).T)  # (m, n_blocks)
+
+    tables = _run_tables(degree)
+    length = sig_length(2, degree)
+    prev = np.empty((sig_length(2, degree - 1), n_blocks))
+
+    def running(order, coords):
+        """Yield (r, signature so far) after each increment r in ``order``, all blocks at once."""
+        sig = np.zeros((length, n_blocks))
+        sig[0] = 1.0
+        for r in order:
+            for c in coords:
+                prev[...] = sig[: prev.shape[0]]
+                _chen_step(sig, prev, increments[r], tables[c])
+            yield r, sig
+
+    # (m, L, n_blocks) while scanning, one contiguous slab per r
+    prefix = np.zeros((m, length, n_blocks))
+    prefix[0, 0] = 1.0  # no increments yet: the identity
+    for r, sig in running(range(m - 1), (0, 1)):
+        prefix[r + 1] = sig
+    suffix = np.empty((m, length, n_blocks))
+    reversal = _word_reversal(degree)
+    for r, sig in running(range(m - 1, -1, -1), (1, 0)):
+        suffix[r] = sig[reversal]
+
+    def by_start(slabs):
+        """(L, n_blocks * m): column q*m + r holds block q at r."""
+        return np.ascontiguousarray(slabs.transpose(1, 2, 0)).reshape(length, -1)
+
+    suffix = by_start(suffix)[:, :n_windows]  # window s = q*m + r starts with suffix_q[r]
+    prefix = by_start(prefix)[:, m : m + n_windows]  # and ends with prefix_{q+1}[r]
+
+    offs = level_offsets(2, degree)
+    mean = np.empty(length)
+    for k in range(degree + 1):
+        level = sum(
+            (suffix[offs[i] : offs[i + 1]] @ prefix[offs[k - i] : offs[k - i + 1]].T).ravel()
+            for i in range(k + 1)
+        )
+        mean[offs[k] : offs[k + 1]] = level / n_windows
+    return mean

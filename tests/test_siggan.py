@@ -475,6 +475,13 @@ class TestGenerate:
         b = generate(ckpt, returns, 5, seed=2)
         assert not np.array_equal(a, b)
 
+    def test_conditioning_shorter_than_one_window_rejected(self):
+        ckpt, returns = self.make_checkpoint()
+        seq_len = ckpt.config.seq_len
+        assert generate(ckpt, returns[:seq_len], 3, seed=1).shape == (3, seq_len)
+        with pytest.raises(SizeError):
+            generate(ckpt, returns[: seq_len - 1], 3, seed=1)
+
     @pytest.mark.parametrize("n_samples", [7, 200])
     def test_graphs_only_for_drawn_windows(self, monkeypatch, n_samples):
         ckpt, returns = self.make_checkpoint()

@@ -239,11 +239,14 @@ class TestBatchedEngine:
 
 class TestEngineMemory:
     def test_report_scale_batch_within_budget(self):
-        """One forward-only call at `build_report` scale stays within 256 MiB.
+        """One forward-only (20000, 20) engine batch stays within 256 MiB.
 
-        A (20000, 20) batch at degree 5 takes 38 Chen steps. Snapshots of
-        levels 0..4 (31 rows of 20000 values per step) are 180 MiB, and the
-        working signature and the row-major result add about 10 MiB each:
+        That is the window stack of a 20000-point series. `build_report`
+        no longer signs such stacks (it averages windows through
+        `leadlag_window_mean`), so this pins the engine on its own. The
+        batch takes 38 Chen steps at degree 5. Snapshots of levels 0..4
+        (31 rows of 20000 values per step) are 180 MiB, and the working
+        signature and the row-major result add about 10 MiB each:
         measured 209 MiB peak on numpy 2.4. Snapshots of all 63 rows would
         measure about 395 MiB.
         """

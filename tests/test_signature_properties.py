@@ -2,18 +2,26 @@
 
 The forward is compared with the generic word-indexed `path_signature` of
 `lead_lag`, the adjoint with central finite differences, at the same
-tolerances as the fixed-input tests in test_signature.py. Examples are
-derandomized so every run checks the same cases.
+tolerances as the fixed-input tests in test_signature.py. The window mean
+is compared with the engine applied to the stacked windows, then averaged.
+Examples come from the derandomized profile in conftest.py, so every run
+checks the same cases.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from siggraphgan import signature as sg
+from siggraphgan.errors import ShapeError, SizeError
 
-PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# Window-mean error bound, relative to the largest |coefficient| any window
+# has at that level: both sides add up terms of about that size, in
+# different orders, so they differ by rounding far below this bound.
+WINDOW_MEAN_RTOL = 1e-11
 
 
 @st.composite
@@ -24,7 +32,6 @@ def series_batches(draw):
     return draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
 
 
-@PROPERTY_SETTINGS
 @given(series=series_batches(), degree=st.integers(1, 6))
 def test_batch_matches_path_signature(series, degree):
     fast = sg.leadlag_signature_batch(series, degree)
@@ -34,7 +41,6 @@ def test_batch_matches_path_signature(series, degree):
         assert np.max(np.abs(row - reference)) <= 1e-11
 
 
-@PROPERTY_SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
     batch=st.integers(1, 5),
@@ -57,3 +63,59 @@ def test_vjp_matches_finite_differences(seed, batch, points, degree):
     for analytic, num in zip((grad * direction).sum(axis=1), (plus - minus) / (2 * h)):
         rel = abs(analytic - num) / max(1e-6, abs(analytic) + abs(num))
         assert rel <= 1e-4
+
+
+@st.composite
+def window_series(draw):
+    """A series of points..150 values, Gaussian or small integers, and points in 2..25."""
+    points = draw(st.integers(2, 25))
+    n = draw(st.integers(points, 150))
+    if draw(st.booleans()):
+        series = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    else:
+        ints = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        series = np.array(ints, dtype=np.float64)
+    return series, points
+
+
+def assert_window_mean_matches_engine(series, points, degree):
+    per_window = sg.leadlag_signature_batch(sliding_window_view(series, points), degree)
+    reference = per_window.mean(axis=0)
+    fast = sg.leadlag_window_mean(series, points, degree)
+    assert fast.shape == reference.shape
+    offs = sg.level_offsets(2, degree)
+    for k in range(degree + 1):
+        level = slice(offs[k], offs[k + 1])
+        scale = np.max(np.abs(per_window[:, level]))
+        err = np.max(np.abs(fast[level] - reference[level]))
+        assert err <= WINDOW_MEAN_RTOL * scale, f"level {k}: {err:.3g} against scale {scale:.3g}"
+
+
+@given(case=window_series(), degree=st.integers(1, 6))
+def test_window_mean_matches_engine(case, degree):
+    assert_window_mean_matches_engine(*case, degree)
+
+
+@pytest.mark.parametrize(
+    "n, points",
+    [
+        (20, 20),  # one window
+        (30, 2),  # points = 2: blocks of one increment
+        (25, 20),  # 6 windows, fewer than one block of 19 increments
+        (57, 20),  # 38 windows, exactly two blocks of 19
+        (12, 4),  # 9 windows, exactly three blocks of 3
+    ],
+)
+@pytest.mark.parametrize("degree", [1, 5])
+def test_window_mean_edge_cases(n, points, degree):
+    series = np.random.default_rng(n * 100 + points).standard_normal(n)
+    assert_window_mean_matches_engine(series, points, degree)
+
+
+def test_window_mean_input_checks():
+    with pytest.raises(ShapeError):
+        sg.leadlag_window_mean(np.zeros((3, 20)), 5)
+    with pytest.raises(SizeError):
+        sg.leadlag_window_mean(np.zeros(20), 1)
+    with pytest.raises(SizeError):
+        sg.leadlag_window_mean(np.zeros(19), 20)

@@ -3,18 +3,16 @@
 Whether point i sees point j depends only on the points from i to j, so
 the graph of a window is the induced subgraph of the series graph on the
 window's nodes. Series are Gaussian, or small integers whose exact ties
-must block visibility. Examples are derandomized so every run checks the
-same cases.
+must block visibility. Examples come from the derandomized profile in
+conftest.py, so every run checks the same cases.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from siggraphgan import layers as ly
 from siggraphgan import visibility as vg
-
-PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
@@ -36,7 +34,6 @@ def all_windows(series, seq_len, directed):
     return graph.windows(np.arange(series.size - seq_len + 1), seq_len)
 
 
-@PROPERTY_SETTINGS
 @given(case=series_and_window(), directed=st.booleans())
 def test_windows_are_induced_subgraphs(case, directed):
     series, seq_len = case
@@ -48,7 +45,6 @@ def test_windows_are_induced_subgraphs(case, directed):
         assert np.array_equal(window, own.adjacency)
 
 
-@PROPERTY_SETTINGS
 @given(case=series_and_window(), directed=st.booleans())
 def test_batched_normalization_matches_per_window(case, directed):
     sliced = all_windows(*case, directed)
