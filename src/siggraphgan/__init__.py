@@ -27,19 +27,8 @@ from .preprocess import (
     windows,
 )
 from .siggan import SigGanConfig, SigGraphGan, generate, sig_kld_loss, sig_mse_loss, train
-from .signature import (
-    Path,
-    SignatureVector,
-    chen_concat,
-    cumulative_signature,
-    expected_signature,
-    lead_lag,
-    leadlag_signature_batch,
-    path_signature,
-    segment_signature,
-    sig_length,
-)
-from .visibility import VisibilityGraph, degree_sequence, natural_visibility
+from .signature import leadlag_signature_batch, sig_length
+from .visibility import VisibilityGraph, natural_visibility
 
 __all__ = [
     "__version__",
@@ -48,21 +37,15 @@ __all__ = [
     "GbmParams",
     "LambertParams",
     "MetricsReport",
-    "Path",
     "PriceSeries",
     "ReturnSeries",
     "SigGanConfig",
     "SigGraphGan",
-    "SignatureVector",
     "VisibilityGraph",
     "WindowSpec",
     "build_report",
-    "chen_concat",
-    "cumulative_signature",
     "degaussianize",
-    "degree_sequence",
     "emd_1d",
-    "expected_signature",
     "fit_delta",
     "garch_fit",
     "garch_simulate",
@@ -72,7 +55,6 @@ __all__ = [
     "generate",
     "k_day_aggregate",
     "lambert_w0",
-    "lead_lag",
     "leadlag_signature_batch",
     "leverage_effect_score",
     "load_checkpoint",
@@ -80,9 +62,7 @@ __all__ = [
     "log_returns",
     "natural_visibility",
     "normalize",
-    "path_signature",
     "save_checkpoint",
-    "segment_signature",
     "sig_kld_loss",
     "sig_length",
     "sig_mse_loss",

@@ -93,9 +93,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __neg__(self):
         return neg(self)
 
@@ -211,21 +208,6 @@ def mul(a, b) -> Tensor:
     )
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if np.any(b.value == 0.0):
-        raise NumericError("division by zero in op 'div'")
-    inv = 1.0 / b.value
-    return from_op(
-        a.value * inv,
-        [
-            (a, lambda g: _unbroadcast(g * inv, a.value.shape)),
-            (b, lambda g: _unbroadcast(-g * a.value * inv * inv, b.value.shape)),
-        ],
-        "div",
-    )
-
-
 def neg(a) -> Tensor:
     a = as_tensor(a)
     return from_op(-a.value, [(a, lambda g: -g)], "neg")
@@ -325,20 +307,6 @@ def tanh(a) -> Tensor:
     a = as_tensor(a)
     y = np.tanh(a.value)
     return from_op(y, [(a, lambda g: g * (1.0 - y * y))], "tanh")
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(over="ignore"):  # overflow is caught by the finite check
-        y = np.exp(a.value)
-    return from_op(y, [(a, lambda g: g * y)], "exp")
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    if np.any(a.value <= 0.0):
-        raise NumericError("log of a nonpositive value")
-    return from_op(np.log(a.value), [(a, lambda g: g / a.value)], "log")
 
 
 def prelu(a, alpha: float = 0.25) -> Tensor:

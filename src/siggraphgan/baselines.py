@@ -76,12 +76,6 @@ def garch_conditional_variance(returns: np.ndarray, omega, alpha, beta) -> np.nd
     return sig2
 
 
-def garch_log_likelihood(returns: np.ndarray, params: GarchParams) -> float:
-    r = np.asarray(returns, dtype=np.float64)
-    sig2 = garch_conditional_variance(r, params.omega, params.alpha, params.beta)
-    return float(-0.5 * np.sum(np.log(2.0 * np.pi) + np.log(sig2) + r * r / sig2))
-
-
 def _unpack(thetas: np.ndarray) -> tuple[float, float, float]:
     """Map unconstrained coordinates to (omega, alpha, beta).
 

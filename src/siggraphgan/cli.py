@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import garch_fit, garch_simulate, gbm_fit, gbm_simulate
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import (
     CheckpointVersionError,
     ConfigError,
@@ -30,7 +30,7 @@ from .errors import (
 from .ioutil import atomic_write_text
 from .metrics import build_report
 from .preprocess import load_price_csv, log_returns, prepare_training_returns
-from .siggan import SigGanConfig, config_from_items, generate, train
+from .siggan import SigGanConfig, generate, parse_config_items, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,7 +48,6 @@ _RUN_KEY_DEFAULTS = {
     "output_dir": ".",
     "baseline": None,
     "n_samples": 200,
-    "histogram_bins": 50,
 }
 
 
@@ -61,7 +60,6 @@ class RunConfig:
     output_dir: str
     baseline: str | None
     n_samples: int
-    histogram_bins: int
 
 
 def parse_run_config(path) -> RunConfig:
@@ -89,16 +87,7 @@ def parse_run_config(path) -> RunConfig:
 
     # the loss kind selects the preset defaults; explicit keys then override
     loss_kind = items.pop("loss_kind", "mse")
-    base = SigGanConfig.for_loss(loss_kind)
-    base_items = {f.name: getattr(base, f.name) for f in dataclasses.fields(base)}
-    overrides = config_from_items({**{"loss_kind": loss_kind}, **items})
-    # config_from_items validates keys/types; merge explicit keys over preset
-    merged = dict(base_items)
-    for key in items:
-        merged[key] = getattr(overrides, key)
-    merged["loss_kind"] = loss_kind
-    model = SigGanConfig(**merged)
-    model.validate()
+    model = SigGanConfig.for_loss(loss_kind, **parse_config_items(items))
 
     baseline = run_items.get("baseline")
     if baseline is not None and baseline not in BASELINE_CHOICES:
@@ -107,22 +96,16 @@ def parse_run_config(path) -> RunConfig:
         )
     try:
         n_samples = int(run_items.get("n_samples", _RUN_KEY_DEFAULTS["n_samples"]))
-        histogram_bins = int(
-            run_items.get("histogram_bins", _RUN_KEY_DEFAULTS["histogram_bins"])
-        )
     except ValueError as exc:
         raise ConfigError(f"bad integer in run config: {exc}") from exc
     if n_samples < 0:
         raise ConfigError("n_samples must be >= 0")
-    if histogram_bins < 1:
-        raise ConfigError("histogram_bins must be >= 1")
     return RunConfig(
         model=model,
         input=run_items.get("input"),
         output_dir=run_items.get("output_dir", "."),
         baseline=baseline,
         n_samples=n_samples,
-        histogram_bins=histogram_bins,
     )
 
 
@@ -347,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--fake", required=True)
     p_eval.add_argument("--out-dir", required=True)
     p_eval.add_argument("--bins", type=int, default=50)
-    add_common(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_abl = sub.add_parser("ablate", help="retrain with components removed and compare")

@@ -7,6 +7,9 @@ import numpy as np
 from .autodiff import Parameter
 from .errors import NumericError
 
+RHO = 0.9
+EPS = 1e-8
+
 
 class RmsProp:
     """Root-mean-square propagation over a fixed parameter list.
@@ -15,6 +18,8 @@ class RmsProp:
 
         v <- rho * v + (1 - rho) * g^2
         p <- p -+ lr * g / (sqrt(v) + eps)
+
+    with rho = 0.9 and eps = 1e-8.
 
     ``maximize=True`` flips the update into an ascent step. When
     ``clip_norm`` is set, the global gradient norm across all parameters
@@ -29,16 +34,12 @@ class RmsProp:
         self,
         params: list[Parameter],
         learning_rate: float,
-        rho: float = 0.9,
-        eps: float = 1e-8,
         maximize: bool = False,
         clip_norm: float | None = None,
         trust_radius: float | None = None,
     ):
         self.params = list(params)
         self.learning_rate = learning_rate
-        self.rho = rho
-        self.eps = eps
         self.maximize = maximize
         self.clip_norm = clip_norm
         self.trust_radius = trust_radius
@@ -68,9 +69,9 @@ class RmsProp:
         sign = 1.0 if self.maximize else -1.0
         for p, g in zip(self.params, grads):
             v = self.square_avg[id(p)]
-            v *= self.rho
-            v += (1.0 - self.rho) * g * g
-            p.value = p.value + sign * self.learning_rate * g / (np.sqrt(v) + self.eps)
+            v *= RHO
+            v += (1.0 - RHO) * g * g
+            p.value = p.value + sign * self.learning_rate * g / (np.sqrt(v) + EPS)
             if self.trust_radius is not None:
                 anchor = self.anchors[id(p)]
                 np.clip(

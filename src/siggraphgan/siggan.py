@@ -174,8 +174,8 @@ def config_to_items(cfg: SigGanConfig) -> list[tuple[str, str]]:
     return items
 
 
-def config_from_items(items: dict[str, str]) -> SigGanConfig:
-    """Inverse of `config_to_items`; unknown keys are rejected."""
+def parse_config_items(items: dict[str, str]) -> dict:
+    """Typed values of textual config items; unknown keys are rejected."""
     kwargs = {}
     known = {f.name: f.type for f in fields(SigGanConfig)}
     defaults = SigGanConfig()
@@ -199,7 +199,12 @@ def config_from_items(items: dict[str, str]) -> SigGanConfig:
                 raise ConfigError(f"config key {key!r} expects a number, got {text!r}") from exc
         else:
             kwargs[key] = text
-    cfg = SigGanConfig(**kwargs)
+    return kwargs
+
+
+def config_from_items(items: dict[str, str]) -> SigGanConfig:
+    """Inverse of `config_to_items`; unknown keys are rejected."""
+    cfg = SigGanConfig(**parse_config_items(items))
     cfg.validate()
     return cfg
 

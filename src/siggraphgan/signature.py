@@ -1,4 +1,4 @@
-"""Truncated path signatures of piecewise-linear paths.
+"""Truncated lead-lag signatures of scalar series.
 
 A signature coefficient is indexed by a word over the alphabet {1..d}; the
 level-k block holds the k-fold iterated integrals. Coefficients are stored
@@ -6,19 +6,18 @@ flat, level by level (constant term first, then level 1, ..., level M),
 row-major within a level so that the first letter of a word is the slowest
 index. This layout is part of the checkpoint and metric contracts.
 
-Two code paths compute the same quantity:
+The package signs only lead-lag embeddings (d = 2) of scalar series, in
+one vectorized engine (`leadlag_signature_batch`) that exploits the fact
+that every lead-lag increment moves along a single coordinate. The engine
+also provides the exact adjoint used during GAN training. Its reference is
+the generic word-indexed `path_signature` of `lead_lag` in
+``tests/oracles.py``, valid for any dimension, which the tests compare it
+with.
 
-* generic word-indexed routines (`segment_signature`, `chen_concat`,
-  `path_signature`) valid for any dimension, used by the test suite;
-* a vectorized engine for batches of scalar series embedded by the
-  lead-lag transform (`leadlag_signature_batch`), which exploits the fact
-  that every lead-lag increment moves along a single coordinate. The
-  engine also provides the exact adjoint used during GAN training.
-
-A third routine, `leadlag_window_mean`, computes the mean lead-lag
-signature over all sliding windows of one series from per-block prefix
-and suffix signatures, with the engine's Chen step; its oracle is the
-engine applied to the stacked windows, then averaged.
+`leadlag_window_mean` computes the mean lead-lag signature over all
+sliding windows of one series from per-block prefix and suffix
+signatures, with the engine's Chen step; its oracle is the engine applied
+to the stacked windows, then averaged.
 
 The engine works coefficient-major: its running signature is (L, B), one
 contiguous row of B values per coefficient, and the adjoint runs in the
@@ -29,34 +28,11 @@ returned row-major, (B, L), like every other signature in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ShapeError, SizeError
-
-
-@dataclass
-class Path:
-    """Ordered points of a d-dimensional piecewise-linear path."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ShapeError(f"path points must be (n, d), got shape {pts.shape}")
-        if pts.shape[0] < 1:
-            raise SizeError("a path needs at least one point")
-        self.points = pts
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def __len__(self):
-        return self.points.shape[0]
 
 
 def sig_length(dim: int, degree: int) -> int:
@@ -72,147 +48,6 @@ def level_offsets(dim: int, degree: int) -> list[int]:
     for k in range(degree + 1):
         offsets.append(offsets[-1] + dim**k)
     return offsets
-
-
-@dataclass
-class SignatureVector:
-    """Flat truncated-signature coefficients of a d-dimensional path."""
-
-    dim: int
-    degree: int
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=np.float64)
-        expected = sig_length(self.dim, self.degree)
-        if coeffs.shape != (expected,):
-            raise ShapeError(
-                f"expected {expected} coefficients for dim {self.dim}, "
-                f"degree {self.degree}; got shape {coeffs.shape}"
-            )
-        self.coefficients = coeffs
-
-    def level(self, k: int) -> np.ndarray:
-        """Level-k block as a flat array of length dim**k."""
-        offs = level_offsets(self.dim, self.degree)
-        return self.coefficients[offs[k] : offs[k + 1]]
-
-    def coefficient(self, word: tuple[int, ...]) -> float:
-        """Coefficient of a word given as a tuple of letters in 1..d."""
-        if any(not 1 <= c <= self.dim for c in word):
-            raise ShapeError(f"word {word} has letters outside 1..{self.dim}")
-        idx = 0
-        for letter in word:
-            idx = idx * self.dim + (letter - 1)
-        return float(self.level(len(word))[idx])
-
-
-def _trivial_levels(dim: int, degree: int) -> list[np.ndarray]:
-    return [np.ones(1)] + [np.zeros(dim**k) for k in range(1, degree + 1)]
-
-
-def _levels_to_vector(dim, degree, levels) -> SignatureVector:
-    return SignatureVector(dim, degree, np.concatenate(levels))
-
-
-def _vector_to_levels(sig: SignatureVector) -> list[np.ndarray]:
-    return [sig.level(k).copy() for k in range(sig.degree + 1)]
-
-
-def lead_lag(series) -> Path:
-    """Embed a scalar series into the plane via the lead-lag transform.
-
-    The lead coordinate jumps to the next value first, then the lag
-    coordinate catches up, producing 2n-1 vertices. Coordinates are
-    ordered (lead, lag). The quadratic variation of the series becomes
-    visible to the level-2 signature terms of this path.
-    """
-    x = np.asarray(series, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError("lead_lag expects a one-dimensional series")
-    n = x.shape[0]
-    if n < 2:
-        raise SizeError(f"lead_lag needs >= 2 points, got {n}")
-    pts = np.empty((2 * n - 1, 2))
-    pts[0] = (x[0], x[0])
-    pts[1::2, 0] = x[1:]  # lead advances
-    pts[1::2, 1] = x[:-1]
-    pts[2::2, 0] = x[1:]  # lag catches up
-    pts[2::2, 1] = x[1:]
-    return Path(pts)
-
-
-def segment_signature(increment, degree: int) -> SignatureVector:
-    """Signature of a single linear segment: the truncated tensor exponential.
-
-    Level k equals increment^(tensor k) / k!.
-    """
-    inc = np.asarray(increment, dtype=np.float64)
-    if inc.ndim != 1:
-        raise ShapeError("increment must be a vector")
-    if degree < 1:
-        raise ShapeError(f"degree must be >= 1, got {degree}")
-    levels = [np.ones(1)]
-    for k in range(1, degree + 1):
-        levels.append(np.kron(levels[-1], inc) / k)
-    return _levels_to_vector(inc.shape[0], degree, levels)
-
-
-def chen_concat(s1: SignatureVector, s2: SignatureVector) -> SignatureVector:
-    """Signature of the concatenated path: truncated tensor product.
-
-    The coefficient of a word w in the result is the sum over all splits
-    w = uv of s1(u) * s2(v).
-    """
-    if s1.dim != s2.dim or s1.degree != s2.degree:
-        raise ShapeError(
-            f"signature mismatch: dim {s1.dim}/{s2.dim}, "
-            f"degree {s1.degree}/{s2.degree}"
-        )
-    a = _vector_to_levels(s1)
-    b = _vector_to_levels(s2)
-    out = []
-    for k in range(s1.degree + 1):
-        acc = np.zeros(s1.dim**k)
-        for i in range(k + 1):
-            acc += np.kron(a[i], b[k - i])
-        out.append(acc)
-    return _levels_to_vector(s1.dim, s1.degree, out)
-
-
-def path_signature(path: Path | np.ndarray, degree: int) -> SignatureVector:
-    """Truncated signature of a piecewise-linear path.
-
-    Left fold of Chen concatenation over the segment signatures of the
-    consecutive increments. A single-point path has the trivial signature.
-    """
-    pts = path.points if isinstance(path, Path) else Path(path).points
-    dim = pts.shape[1]
-    if pts.shape[0] < 2:
-        return _levels_to_vector(dim, degree, _trivial_levels(dim, degree))
-    sig = segment_signature(pts[1] - pts[0], degree)
-    for idx in range(2, pts.shape[0]):
-        sig = chen_concat(sig, segment_signature(pts[idx] - pts[idx - 1], degree))
-    return sig
-
-
-def cumulative_signature(series, degree: int) -> SignatureVector:
-    """Signature of the lead-lag embedding of the running sum of a series."""
-    x = np.asarray(series, dtype=np.float64)
-    return path_signature(lead_lag(np.cumsum(x)), degree)
-
-
-def expected_signature(sample) -> SignatureVector:
-    """Coefficient-wise mean over a sample of equally shaped signatures."""
-    sigs = list(sample)
-    if not sigs:
-        raise SizeError("expected_signature needs a nonempty sample")
-    dim, degree = sigs[0].dim, sigs[0].degree
-    for s in sigs[1:]:
-        if s.dim != dim or s.degree != degree:
-            raise ShapeError("signatures in the sample must share dim and degree")
-    stacked = np.stack([s.coefficients for s in sigs])
-    return SignatureVector(dim, degree, stacked.mean(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +143,8 @@ def leadlag_signature_batch(series: np.ndarray, degree: int = 5) -> np.ndarray:
     """Truncated signatures of the lead-lag embedding of each series.
 
     ``series`` is (B, n) or (n,); the result is (B, L) or (L,) flat
-    coefficients with L = 2^(degree+1) - 1, matching `path_signature` of
-    `lead_lag` exactly.
+    coefficients with L = 2^(degree+1) - 1, matching the word-indexed
+    `path_signature` of `lead_lag` in ``tests/oracles.py``.
     """
     sig, _ = _leadlag_forward(series, degree)
     return sig

@@ -1,9 +1,11 @@
 """Natural visibility graphs of time series.
 
-Each observation becomes a node; two observations are linked when every
-point between them lies strictly below the straight chord joining them:
+Observations are unit-spaced (trading days), so observation i sits at
+time i. Each observation becomes a node; two observations are linked when
+every point between them lies strictly below the straight chord joining
+them:
 
-    s_k < s_i + (s_j - s_i) * (t_k - t_i) / (t_j - t_i)   for all i < k < j.
+    s_k < s_i + (s_j - s_i) * (k - i) / (j - i)   for all i < k < j.
 
 Ties block visibility. Consecutive observations always see each other.
 Graphs are either undirected (symmetric adjacency) or directed left to
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrderingError, ShapeError, SizeError
+from .errors import ShapeError, SizeError
 
 
 @dataclass
@@ -62,68 +64,32 @@ class VisibilityGraph:
             linked |= linked.transpose(0, 2, 1)
         return linked.astype(np.int8)
 
-    def edges(self) -> np.ndarray:
-        """Edge list as an (m, 2) array of 0-indexed node pairs.
-
-        Undirected graphs list each edge once with i < j.
-        """
-        a = self.adjacency
-        if not self.directed:
-            a = np.triu(a, k=1)
-        return np.argwhere(a == 1)
-
-    def edge_list_text(self) -> str:
-        """Debug export: one ``i j`` pair per line."""
-        return "".join(f"{i} {j}\n" for i, j in self.edges())
-
-
-def _check_inputs(values, timestamps):
-    s = np.asarray(values, dtype=np.float64)
-    if s.ndim != 1:
-        raise ShapeError("values must be one-dimensional")
-    n = s.shape[0]
-    if n < 2:
-        raise SizeError(f"visibility graph needs >= 2 points, got {n}")
-    if timestamps is None:
-        t = np.arange(n, dtype=np.float64)
-    else:
-        t = np.asarray(timestamps, dtype=np.float64)
-        if t.shape != s.shape:
-            raise ShapeError(
-                f"{t.shape[0]} timestamps for {n} values"
-            )
-        if np.any(np.diff(t) <= 0.0):
-            raise OrderingError("timestamps must be strictly increasing")
-    return s, t
-
 
 def natural_visibility(
-    values, timestamps=None, directed: bool = False, max_lag: int | None = None
+    values, directed: bool = False, max_lag: int | None = None
 ) -> VisibilityGraph:
-    """Build the natural visibility graph of a series.
+    """Build the natural visibility graph of a series of unit-spaced observations.
 
     Uses the O(n * max_lag) scan: for a fixed left node i, node j is
     visible exactly when the slope from i to j strictly exceeds the
     running maximum slope from i to every intermediate point. Each left
     node looks at most ``max_lag`` points ahead; the default scans the
     whole series. Every window of up to ``max_lag + 1`` points can then be
-    sliced from the result with `VisibilityGraph.windows`. Timestamps
-    default to 0, 1, 2, ... when not supplied.
+    sliced from the result with `VisibilityGraph.windows`.
     """
-    s, t = _check_inputs(values, timestamps)
+    s = np.asarray(values, dtype=np.float64)
+    if s.ndim != 1:
+        raise ShapeError("values must be one-dimensional")
     n = s.shape[0]
+    if n < 2:
+        raise SizeError(f"visibility graph needs >= 2 points, got {n}")
     if max_lag is not None and max_lag < 1:
         raise SizeError(f"max_lag must be >= 1, got {max_lag}")
     lags = n - 1 if max_lag is None else min(max_lag, n - 1)
     sees = np.zeros((n, lags), dtype=bool)
     for i in range(n - 1):
         stop = min(n, i + 1 + lags)
-        slopes = (s[i + 1 : stop] - s[i]) / (t[i + 1 : stop] - t[i])
+        slopes = (s[i + 1 : stop] - s[i]) / np.arange(1, stop - i, dtype=np.float64)
         sees[i, 0] = True  # no intermediate point
         sees[i, 1 : stop - i - 1] = slopes[1:] > np.maximum.accumulate(slopes)[:-1]
     return VisibilityGraph(sees, directed)
-
-
-def degree_sequence(graph: VisibilityGraph) -> np.ndarray:
-    """Per-node degree; out-degree for directed graphs."""
-    return graph.adjacency.sum(axis=1).astype(np.int64)

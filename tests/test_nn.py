@@ -366,21 +366,10 @@ class TestGradientSuite:
 
 
 class TestNumericGuards:
-    def test_log_of_nonpositive(self):
-        with pytest.raises(NumericError):
-            ad.log(ad.Tensor(np.array([1.0, -1.0])))
-
-    def test_division_by_zero(self):
-        with pytest.raises(NumericError):
-            ad.div(ad.Tensor(np.ones(2)), ad.Tensor(np.array([1.0, 0.0])))
-
     def test_nan_input_rejected(self):
-        with pytest.raises(NumericError):
-            ad.Tensor(np.array([1.0, np.nan]))
-
-    def test_overflowing_exp_rejected(self):
-        with pytest.raises(NumericError):
-            ad.exp(ad.Tensor(np.array([1000.0])))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NumericError):
+                ad.Tensor(np.array([1.0, bad]))
 
 
 class TestRmsProp:

@@ -1,7 +1,7 @@
 """Randomized checks of the batched lead-lag engine against its oracles.
 
 The forward is compared with the generic word-indexed `path_signature` of
-`lead_lag`, the adjoint with central finite differences, at the same
+`lead_lag` from oracles.py, the adjoint with central finite differences, at the same
 tolerances as the fixed-input tests in test_signature.py. The window mean
 is compared with the engine applied to the stacked windows, then averaged.
 Examples come from the derandomized profile in conftest.py, so every run
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
+from oracles import lead_lag, path_signature
 from siggraphgan import signature as sg
 from siggraphgan.errors import ShapeError, SizeError
 
@@ -37,7 +38,7 @@ def test_batch_matches_path_signature(series, degree):
     fast = sg.leadlag_signature_batch(series, degree)
     assert fast.shape == series.shape[:-1] + (sg.sig_length(2, degree),)
     for row, x in zip(np.atleast_2d(fast), np.atleast_2d(series)):
-        reference = sg.path_signature(sg.lead_lag(x), degree).coefficients
+        reference = path_signature(lead_lag(x), degree).coefficients
         assert np.max(np.abs(row - reference)) <= 1e-11
 
 
