@@ -6,9 +6,9 @@ functions below and discarded after `backward`. Every op validates that
 its output is finite and raises `NumericError` otherwise.
 
 Only what the model needs is implemented: elementwise arithmetic,
-(batched) matmul, shape plumbing, a few nonlinearities, dropout and
-softmax. Gradients for broadcast operands are reduced back to the operand
-shape.
+(batched) matmul and the fused affine map, shape plumbing, a few
+nonlinearities, dropout and softmax. Gradients for broadcast operands are
+reduced back to the operand shape.
 """
 
 from __future__ import annotations
@@ -213,16 +213,14 @@ def neg(a) -> Tensor:
     return from_op(-a.value, [(a, lambda g: -g)], "neg")
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product; supports batched operands via numpy broadcasting."""
-    a, b = as_tensor(a), as_tensor(b)
+def _matmul_parents(a: Tensor, b: Tensor):
+    """Checked (parent, vjp) pairs of the product ``a.value @ b.value``."""
     if a.value.ndim < 2 or b.value.ndim < 2:
         raise ShapeError("matmul operands must have ndim >= 2")
     if a.value.shape[-1] != b.value.shape[-2]:
         raise ShapeError(
             f"matmul inner dimensions differ: {a.value.shape} @ {b.value.shape}"
         )
-    value = a.value @ b.value
 
     def grad_a(g):
         return _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.value.shape)
@@ -230,7 +228,28 @@ def matmul(a, b) -> Tensor:
     def grad_b(g):
         return _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.value.shape)
 
-    return from_op(value, [(a, grad_a), (b, grad_b)], "matmul")
+    return [(a, grad_a), (b, grad_b)]
+
+
+def matmul(a, b) -> Tensor:
+    """Matrix product; supports batched operands via numpy broadcasting."""
+    a, b = as_tensor(a), as_tensor(b)
+    parents = _matmul_parents(a, b)
+    return from_op(a.value @ b.value, parents, "matmul")
+
+
+def affine(x, w, b) -> Tensor:
+    """x @ w + b as one node, with b broadcast over the leading axes.
+
+    The bias is added in place to the product, so no second array of the
+    output's size is made; values and gradients are those of
+    ``add(matmul(x, w), b)``.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    parents = _matmul_parents(x, w)
+    value = x.value @ w.value
+    value += b.value
+    return from_op(value, parents + [(b, lambda g: _unbroadcast(g, b.value.shape))], "affine")
 
 
 # -- reductions and shape plumbing ------------------------------------------
@@ -319,13 +338,14 @@ def prelu(a, alpha: float = 0.25) -> Tensor:
 def dropout(a, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale survivors.
 
-    Identity in inference mode or at rate 0.
+    In inference mode or at rate 0 it is the identity and returns ``a``
+    itself: no copy and no graph node, so gradients reach ``a`` unchanged.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
     a = as_tensor(a)
     if not training or rate == 0.0:
-        return from_op(a.value.copy(), [(a, lambda g: g)], "dropout")
+        return a
     if rng is None:
         raise ConfigError("training-mode dropout needs an rng")
     keep = (rng.random(a.value.shape) >= rate) / (1.0 - rate)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Parameter
 from .errors import CheckpointParseError, CheckpointVersionError, ShapeError
 from .ioutil import atomic_write_bytes
 from .preprocess import PreprocessStats
@@ -58,30 +59,55 @@ class Checkpoint:
         )
 
     def build_model(self) -> SigGraphGan:
-        """Reconstruct the model and load the stored parameter values."""
-        model = SigGraphGan(self.config)
-        for stored, params in (
-            (self.generator_params, model.generator.parameters()),
-            (self.discriminator_params, model.discriminator.parameters()),
-        ):
-            if len(stored) != len(params):
-                raise ShapeError(
-                    f"checkpoint holds {len(stored)} parameters, "
-                    f"model expects {len(params)}"
-                )
-            for (name, value), param in zip(stored, params):
-                if param.name != name:
-                    raise ShapeError(
-                        f"parameter order mismatch: checkpoint {name!r}, "
-                        f"model {param.name!r}"
-                    )
-                if param.value.shape != value.shape:
-                    raise ShapeError(
-                        f"parameter {name!r} shape {value.shape} does not "
-                        f"match model shape {param.value.shape}"
-                    )
-                param.value = value.copy()
+        """Reconstruct the model from the stored parameter values.
+
+        The networks are built with the stored values as their parameter
+        source, so no random initialization is drawn. Names, order, shapes
+        and counts must match what the config's architecture asks for.
+        """
+        inits = (
+            _StoredParams(self.generator_params),
+            _StoredParams(self.discriminator_params),
+        )
+        model = SigGraphGan(self.config, inits=inits)
+        for init in inits:
+            init.check_all_taken()
         return model
+
+
+class _StoredParams:
+    """Parameter source handing out one network's stored values in order.
+
+    Each request (see `layers.RandomInit`) must match the next stored
+    entry by name and shape; the returned parameter holds a copy.
+    """
+
+    def __init__(self, stored: list[tuple[str, np.ndarray]]):
+        self.stored = stored
+        self.taken = 0
+
+    def param(self, name: str, shape: tuple, draw) -> Parameter:
+        if self.taken == len(self.stored):
+            raise ShapeError(
+                f"checkpoint holds {len(self.stored)} parameters, model expects more"
+            )
+        stored_name, value = self.stored[self.taken]
+        if stored_name != name:
+            raise ShapeError(
+                f"parameter order mismatch: checkpoint {stored_name!r}, model {name!r}"
+            )
+        if value.shape != shape:
+            raise ShapeError(
+                f"parameter {name!r} shape {value.shape} does not match model shape {shape}"
+            )
+        self.taken += 1
+        return Parameter(value.copy(), name)
+
+    def check_all_taken(self):
+        if self.taken != len(self.stored):
+            raise ShapeError(
+                f"checkpoint holds {len(self.stored)} parameters, model expects {self.taken}"
+            )
 
 
 def save_checkpoint(checkpoint: Checkpoint, path):

@@ -229,6 +229,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.bins < 1:
+        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
     real = _read_returns_csv(args.real)
     fake = _read_returns_csv(args.fake)
     report = _write_report_files(real, fake, args.out_dir, args.bins)

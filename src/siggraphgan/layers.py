@@ -1,8 +1,8 @@
 """Network layers for the generator/discriminator blocks.
 
-Everything is built from the autodiff primitives, except the LSTM
-recurrence: one op per layer whose hand-coded adjoint backpropagates
-through time. All gradients are pinned by the finite-difference suite.
+Everything is built from the autodiff primitives, except the LSTM: one
+op per layer, input projection and recurrence, whose hand-coded adjoint
+backpropagates through time. All gradients are pinned by the finite-difference suite.
 Layers operate on batched inputs shaped (batch, time, features).
 """
 
@@ -18,10 +18,34 @@ from .errors import GraphError, ShapeError
 # -- initialization -----------------------------------------------------------
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None):
-    """Uniform init on +-sqrt(6 / (fan_in + fan_out))."""
+class RandomInit:
+    """Parameter source of a fresh model: each value is drawn from ``rng``.
+
+    Layers ask a source for their parameters in construction order with
+    ``param(name, shape, draw)``; this source returns ``draw(rng, shape)``,
+    so one seed gives the same draws in the same order every time. The
+    checkpoint loader's source hands out stored values instead, and
+    ``draw`` is never called.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def param(self, name: str, shape: tuple, draw) -> Parameter:
+        return Parameter(draw(self.rng, shape), name)
+
+
+def glorot_uniform(rng: np.random.Generator, shape: tuple):
+    """Uniform init of a (fan_in, fan_out) matrix on +-sqrt(6 / (fan_in + fan_out))."""
+    fan_in, fan_out = shape
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape or (fan_in, fan_out))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def zeros(rng: np.random.Generator, shape: tuple):
+    """All-zero init; draws nothing from ``rng``."""
+    return np.zeros(shape)
+
 
 def orthogonal_init(rng: np.random.Generator, rows: int, cols: int):
     """QR-based orthogonal-ish matrix from a seeded Gaussian draw."""
@@ -35,24 +59,25 @@ def orthogonal_init(rng: np.random.Generator, rows: int, cols: int):
 
 
 def dense_forward(x, weight, bias) -> Tensor:
-    """Affine map y = x @ W + b, with b broadcast over leading axes."""
+    """Affine map y = x @ W + b, with b broadcast over leading axes.
+
+    One `ad.affine` node: the bias is added in place to the product.
+    """
     x = ad.as_tensor(x)
     if x.value.shape[-1] != weight.value.shape[0]:
         raise ShapeError(
             f"dense: input features {x.value.shape[-1]} != weight rows "
             f"{weight.value.shape[0]}"
         )
-    return ad.add(ad.matmul(x, weight), bias)
+    return ad.affine(x, weight, bias)
 
 
 class Dense:
     """Fully connected layer with named parameters."""
 
-    def __init__(self, rng, in_features: int, out_features: int, name: str):
-        self.weight = Parameter(
-            glorot_uniform(rng, in_features, out_features), f"{name}.weight"
-        )
-        self.bias = Parameter(np.zeros(out_features), f"{name}.bias")
+    def __init__(self, init, in_features: int, out_features: int, name: str):
+        self.weight = init.param(f"{name}.weight", (in_features, out_features), glorot_uniform)
+        self.bias = init.param(f"{name}.bias", (out_features,), zeros)
 
     def __call__(self, x) -> Tensor:
         return dense_forward(x, self.weight, self.bias)
@@ -74,19 +99,23 @@ class LSTM:
     recurrent matrix starts orthogonal per gate.
     """
 
-    def __init__(self, rng, in_features: int, hidden: int, name: str):
+    def __init__(self, init, in_features: int, hidden: int, name: str):
         self.in_features = in_features
         self.hidden = hidden
-        self.w_input = Parameter(
-            glorot_uniform(rng, in_features, 4 * hidden), f"{name}.w_input"
-        )
-        recur = np.concatenate(
-            [orthogonal_init(rng, hidden, hidden) for _ in range(4)], axis=1
-        )
-        self.w_recur = Parameter(recur, f"{name}.w_recur")
-        bias = np.zeros(4 * hidden)
-        bias[hidden : 2 * hidden] = 1.0
-        self.bias = Parameter(bias, f"{name}.bias")
+        self.w_input = init.param(f"{name}.w_input", (in_features, 4 * hidden), glorot_uniform)
+
+        def per_gate_orthogonal(rng, shape):
+            return np.concatenate(
+                [orthogonal_init(rng, hidden, hidden) for _ in range(4)], axis=1
+            )
+
+        def forget_bias_one(rng, shape):
+            bias = np.zeros(shape)
+            bias[hidden : 2 * hidden] = 1.0
+            return bias
+
+        self.w_recur = init.param(f"{name}.w_recur", (hidden, 4 * hidden), per_gate_orthogonal)
+        self.bias = init.param(f"{name}.bias", (4 * hidden,), forget_bias_one)
 
     def parameters(self):
         return [self.w_input, self.w_recur, self.bias]
@@ -99,41 +128,71 @@ def _sigmoid(x):
     return 0.5 * (np.tanh(0.5 * x) + 1.0)
 
 
-def _lstm_sequence(gates_in: Tensor, w_recur, hidden: int) -> Tensor:
-    """Whole LSTM recurrence over a (B, T, 4H) projected input.
+# Time steps whose input projection is computed in one matrix product. The
+# projected input is then held for one block of steps, (B * steps, 4H), not
+# for the whole sequence. Each product has at least two rows, so it never
+# takes numpy's matrix-vector path, which rounds differently; the rows come
+# out the same as in one product over all steps.
+PROJECTION_STEPS = 10
+
+
+def _step_blocks(steps: int):
+    """[start, stop) blocks of `PROJECTION_STEPS` steps covering ``steps``.
+
+    A remainder of one step joins the last block, so every block of a
+    sequence of two or more steps has at least two.
+    """
+    starts = list(range(0, max(steps - 1, 1), PROJECTION_STEPS))
+    return zip(starts, starts[1:] + [steps])
+
+
+def _lstm_sequence(seq: Tensor, params: LSTM) -> Tensor:
+    """Whole LSTM layer over a (B, T, F) input, as one graph node.
 
     Returns the (B, T, H) hidden sequence from zero initial states. The
-    whole layer is one graph node: the forward loops over time steps and
-    keeps each step's gate activations, and the adjoint runs
-    backpropagation through time in one reverse loop, so the graph size
-    does not grow with T and the recurrent-weight gradient is one product
-    over all steps.
+    forward projects the input block by block (see `PROJECTION_STEPS`),
+    loops over time steps and keeps each step's gate activations; the
+    adjoint runs backpropagation through time in one reverse loop and then
+    takes the input, input-weight and bias gradients as products over all
+    steps. So the graph size does not grow with T.
+
+    When nothing it depends on requires grad, the forward keeps no gate
+    activations and the result is a node without parents; its values are
+    the same as in grad mode.
     """
-    x = gates_in.value
-    w = w_recur.value
-    h = np.zeros((x.shape[0], hidden))
+    x = seq.value
+    w_in, bias, w = params.w_input.value, params.bias.value, params.w_recur.value
+    hidden = params.hidden
+    batch, steps, features = x.shape
+    keep = any(t.requires_grad for t in (seq, params.w_input, params.bias, params.w_recur))
+    h = np.zeros((batch, hidden))
     c = np.zeros_like(h)
-    saved, hs = [], []  # per step: gates, previous cell state, tanh of the cell
-    for t in range(x.shape[1]):
-        pre = x[:, t, :] + h @ w
-        gate_i = _sigmoid(pre[:, :hidden])
-        gate_f = _sigmoid(pre[:, hidden : 2 * hidden])
-        gate_g = np.tanh(pre[:, 2 * hidden : 3 * hidden])
-        gate_o = _sigmoid(pre[:, 3 * hidden :])
-        c_prev, c = c, gate_f * c + gate_i * gate_g
-        tanh_c = np.tanh(c)
-        h = gate_o * tanh_c
-        saved.append((gate_i, gate_f, gate_g, gate_o, c_prev, tanh_c))
-        hs.append(h)
-    out = np.stack(hs, axis=1)
+    out = np.empty((batch, steps, hidden))
+    saved = []  # per step: gates, previous cell state, tanh of the cell
+    for start, stop in _step_blocks(steps):
+        projected = x[:, start:stop, :].reshape(batch * (stop - start), features) @ w_in
+        projected += bias
+        projected = projected.reshape(batch, stop - start, 4 * hidden)
+        for t in range(start, stop):
+            pre = projected[:, t - start, :] + h @ w
+            gate_i = _sigmoid(pre[:, :hidden])
+            gate_f = _sigmoid(pre[:, hidden : 2 * hidden])
+            gate_g = np.tanh(pre[:, 2 * hidden : 3 * hidden])
+            gate_o = _sigmoid(pre[:, 3 * hidden :])
+            c_prev, c = c, gate_f * c + gate_i * gate_g
+            tanh_c = np.tanh(c)
+            h = gate_o * tanh_c
+            out[:, t, :] = h
+            if keep:
+                saved.append((gate_i, gate_f, gate_g, gate_o, c_prev, tanh_c))
 
     shared: dict = {}
 
     def bptt(g):
-        # backward() hands both parents the same g, so the reverse loop
-        # runs once and serves both vjps
+        # backward() hands every parent the same g, so the reverse loop
+        # runs once and serves all four vjps
         if not shared:
-            gpre = np.empty_like(x)
+            gpre = np.empty((batch, steps, 4 * hidden))
             gh_next = gc_next = 0.0
             for t in reversed(range(len(saved))):
                 gate_i, gate_f, gate_g, gate_o, c_prev, tanh_c = saved[t]
@@ -150,7 +209,11 @@ def _lstm_sequence(gates_in: Tensor, w_recur, hidden: int) -> Tensor:
                 )
                 gh_next = gpre[:, t, :] @ w.T
                 gc_next = gc * gate_f
-            shared["gates_in"] = gpre
+            # the projection x @ w_in + bias over all B * T rows
+            gpre_rows = gpre.reshape(batch * steps, 4 * hidden)
+            shared["seq"] = (gpre_rows @ w_in.T).reshape(x.shape)
+            shared["w_input"] = x.reshape(batch * steps, features).T @ gpre_rows
+            shared["bias"] = gpre_rows.sum(axis=0)
             # sum over steps of h_{t-1}^T @ gpre_t; h_{-1} = 0 drops t = 0
             shared["w_recur"] = np.tensordot(
                 out[:, :-1, :], gpre[:, 1:, :], axes=([0, 1], [0, 1])
@@ -160,8 +223,10 @@ def _lstm_sequence(gates_in: Tensor, w_recur, hidden: int) -> Tensor:
     return ad.from_op(
         out,
         [
-            (gates_in, lambda g: bptt(g)["gates_in"]),
-            (w_recur, lambda g: bptt(g)["w_recur"]),
+            (seq, lambda g: bptt(g)["seq"]),
+            (params.w_input, lambda g: bptt(g)["w_input"]),
+            (params.bias, lambda g: bptt(g)["bias"]),
+            (params.w_recur, lambda g: bptt(g)["w_recur"]),
         ],
         "lstm",
     )
@@ -170,28 +235,22 @@ def _lstm_sequence(gates_in: Tensor, w_recur, hidden: int) -> Tensor:
 def lstm_forward(seq, params: LSTM) -> Tensor:
     """Run an LSTM and return the full hidden sequence (batch, time, hidden).
 
-    Initial hidden and cell states are zero. The input projection is one
-    matmul over the whole sequence; the recurrence is the single graph node
-    of `_lstm_sequence`, whose adjoint does backpropagation through time.
+    Initial hidden and cell states are zero. Input projection and
+    recurrence are the single graph node of `_lstm_sequence`, whose adjoint
+    does backpropagation through time. With nothing requiring grad, the
+    node keeps no state for a backward pass.
     """
     seq = ad.as_tensor(seq)
     if seq.value.ndim != 3:
         raise ShapeError(f"lstm expects (batch, time, features), got {seq.value.shape}")
-    batch, steps, features = seq.value.shape
+    _, steps, features = seq.value.shape
     if features != params.in_features:
         raise ShapeError(
             f"lstm: input features {features} != configured {params.in_features}"
         )
     if steps < 1:
         raise ShapeError("lstm needs at least one time step")
-    hidden = params.hidden
-
-    gates_in = ad.add(
-        ad.matmul(ad.reshape(seq, (batch * steps, features)), params.w_input),
-        params.bias,
-    )
-    gates_in = ad.reshape(gates_in, (batch, steps, 4 * hidden))
-    return _lstm_sequence(gates_in, params.w_recur, hidden)
+    return _lstm_sequence(seq, params)
 
 
 # -- graph convolution --------------------------------------------------------

@@ -17,13 +17,15 @@ alternating one step each per batch under RMSProp.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import layers as ly
-from .autodiff import Parameter, Tensor
+from .autodiff import Tensor
 from .errors import ConfigError, NumericError, ShapeError, SizeError
 from .optim import RmsProp
 from .preprocess import PreprocessStats, WindowSpec, invert_pipeline, transform_with_stats, windows
@@ -31,6 +33,11 @@ from .signature import _leadlag_forward, _leadlag_vjp, sig_length
 from .visibility import VisibilityGraph, natural_visibility
 
 GRAD_CLIP_NORM = 5.0
+
+# generate() runs this many samples per forward pass, and at most this many
+# forward passes at once
+GENERATE_CHUNK = 64
+GENERATE_THREADS = 2
 
 # The discriminator maximizes an objective with no finite maximizer, so its
 # ascent is projected into a small box around its initialization (a bounded
@@ -297,14 +304,14 @@ LOSS_FUNCTIONS = {"mse": sig_mse_loss, "kld": sig_kld_loss}
 class RecurrentBlock:
     """Stacked LSTMs followed by a linear head."""
 
-    def __init__(self, rng, cfg: SigGanConfig, in_features: int, out_features: int, name: str):
+    def __init__(self, init, cfg: SigGanConfig, in_features: int, out_features: int, name: str):
         self.cfg = cfg
         self.lstms = []
         width = in_features
         for i in range(cfg.rec_lstm_layers):
-            self.lstms.append(ly.LSTM(rng, width, cfg.rec_lstm_neurons, f"{name}.lstm{i}"))
+            self.lstms.append(ly.LSTM(init, width, cfg.rec_lstm_neurons, f"{name}.lstm{i}"))
             width = cfg.rec_lstm_neurons
-        self.head = ly.Dense(rng, width, out_features, f"{name}.head")
+        self.head = ly.Dense(init, width, out_features, f"{name}.head")
 
     def parameters(self):
         params = [p for lstm in self.lstms for p in lstm.parameters()]
@@ -321,17 +328,17 @@ class RecurrentBlock:
 class GeometricBlock:
     """Stacked graph convolutions, an LSTM, and a linear head."""
 
-    def __init__(self, rng, cfg: SigGanConfig, in_features: int, out_features: int, name: str):
+    def __init__(self, init, cfg: SigGanConfig, in_features: int, out_features: int, name: str):
         self.cfg = cfg
         self.thetas = []
         width = in_features
         for i in range(cfg.gnn_layers):
             self.thetas.append(
-                Parameter(ly.glorot_uniform(rng, width, cfg.gnn_neurons), f"{name}.gcn{i}")
+                init.param(f"{name}.gcn{i}", (width, cfg.gnn_neurons), ly.glorot_uniform)
             )
             width = cfg.gnn_neurons
-        self.lstm = ly.LSTM(rng, width, cfg.geo_lstm_neurons, f"{name}.lstm")
-        self.head = ly.Dense(rng, cfg.geo_lstm_neurons, out_features, f"{name}.head")
+        self.lstm = ly.LSTM(init, width, cfg.geo_lstm_neurons, f"{name}.lstm")
+        self.head = ly.Dense(init, cfg.geo_lstm_neurons, out_features, f"{name}.head")
 
     def parameters(self):
         return self.thetas + self.lstm.parameters() + self.head.parameters()
@@ -348,10 +355,10 @@ class GeometricBlock:
 class FeedforwardBlock:
     """Fixed 128/64/1 fully connected stack with PReLU activations."""
 
-    def __init__(self, rng, in_features: int, name: str):
-        self.fc1 = ly.Dense(rng, in_features, 128, f"{name}.fc1")
-        self.fc2 = ly.Dense(rng, 128, 64, f"{name}.fc2")
-        self.fc3 = ly.Dense(rng, 64, 1, f"{name}.fc3")
+    def __init__(self, init, in_features: int, name: str):
+        self.fc1 = ly.Dense(init, in_features, 128, f"{name}.fc1")
+        self.fc2 = ly.Dense(init, 128, 64, f"{name}.fc2")
+        self.fc3 = ly.Dense(init, 64, 1, f"{name}.fc3")
 
     def parameters(self):
         return self.fc1.parameters() + self.fc2.parameters() + self.fc3.parameters()
@@ -363,9 +370,13 @@ class FeedforwardBlock:
 
 
 class GanNetwork:
-    """Shared generator/discriminator architecture over (B, T, F) inputs."""
+    """Shared generator/discriminator architecture over (B, T, F) inputs.
 
-    def __init__(self, rng, cfg: SigGanConfig, in_features: int, name: str):
+    ``init`` is the parameter source (see `layers.RandomInit`); every
+    parameter is requested from it once, in a fixed order.
+    """
+
+    def __init__(self, init, cfg: SigGanConfig, in_features: int, name: str):
         self.cfg = cfg
         self.in_features = in_features
         # block output width mirrors the input width; the feedforward
@@ -374,18 +385,18 @@ class GanNetwork:
         self.recurrent = (
             None
             if cfg.disable_recurrent
-            else RecurrentBlock(rng, cfg, in_features, block_out, f"{name}.rec")
+            else RecurrentBlock(init, cfg, in_features, block_out, f"{name}.rec")
         )
         self.geometric = (
             None
             if cfg.disable_geometric
-            else GeometricBlock(rng, cfg, in_features, block_out, f"{name}.geo")
+            else GeometricBlock(init, cfg, in_features, block_out, f"{name}.geo")
         )
         if cfg.disable_feedforward:
             self.feedforward = None
         else:
             ff_in = block_out + (in_features if cfg.skip_layer else 0)
-            self.feedforward = FeedforwardBlock(rng, ff_in, f"{name}.ff")
+            self.feedforward = FeedforwardBlock(init, ff_in, f"{name}.ff")
 
     def parameters(self):
         params = []
@@ -416,20 +427,27 @@ class GanNetwork:
 
 
 class SigGraphGan:
-    """Generator plus discriminator built from one config."""
+    """Generator plus discriminator built from one config.
 
-    def __init__(self, cfg: SigGanConfig, seed_seq: np.random.SeedSequence | None = None):
+    By default both networks are initialized at random from ``seed_seq``
+    (from the config seed if not given). ``inits`` instead gives the
+    (generator, discriminator) parameter sources, as the checkpoint loader
+    does; then nothing is drawn.
+    """
+
+    def __init__(self, cfg: SigGanConfig, seed_seq: np.random.SeedSequence | None = None,
+                 inits=None):
         cfg.validate()
         self.cfg = cfg
-        if seed_seq is None:
-            seed_seq = np.random.SeedSequence(cfg.seed)
-        gen_seed, disc_seed = seed_seq.spawn(2)
-        self.generator = GanNetwork(
-            np.random.Generator(np.random.PCG64(gen_seed)), cfg, cfg.noise_features, "gen"
-        )
-        self.discriminator = GanNetwork(
-            np.random.Generator(np.random.PCG64(disc_seed)), cfg, 1, "disc"
-        )
+        if inits is None:
+            if seed_seq is None:
+                seed_seq = np.random.SeedSequence(cfg.seed)
+            inits = [
+                ly.RandomInit(np.random.Generator(np.random.PCG64(s))) for s in seed_seq.spawn(2)
+            ]
+        gen_init, disc_init = inits
+        self.generator = GanNetwork(gen_init, cfg, cfg.noise_features, "gen")
+        self.discriminator = GanNetwork(disc_init, cfg, 1, "disc")
 
     def generator_forward(self, noise, norm_adjacency, training=False, rng=None) -> Tensor:
         return self.generator.forward(ad.as_tensor(noise), norm_adjacency, training, rng)
@@ -568,6 +586,13 @@ def generate(
     the points of the windows the samples draw, and each chunk of samples
     slices its windows' adjacency from it.
 
+    Samples run in chunks of `GENERATE_CHUNK`, up to `GENERATE_THREADS` at
+    once on threads (numpy releases the interpreter lock inside its array
+    operations). All noise is drawn up front in chunk order and each chunk
+    writes only its own rows, so the output is bit for bit the same for
+    any number of cores or threads. A chunk's error, such as
+    `NumericError`, is raised to the caller.
+
     Returns an (n_samples, seq_len) array of log returns.
     """
     cfg = checkpoint.config
@@ -590,14 +615,34 @@ def generate(
     # samples cycle through the first min(n_samples, n_windows) windows only
     graph = series_graph(transformed[: min(n_samples, n_windows) + cfg.seq_len - 1], cfg)
 
+    # every chunk's noise is drawn before any forward runs, in chunk order,
+    # so the draws do not depend on how the chunks are scheduled
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    starts = range(0, n_samples, GENERATE_CHUNK)
+    noises = [
+        rng.standard_normal(
+            (min(GENERATE_CHUNK, n_samples - start), cfg.seq_len, cfg.noise_features)
+        )
+        for start in starts
+    ]
     outputs = np.empty((n_samples, cfg.seq_len))
-    chunk = 64
-    for start in range(0, n_samples, chunk):
-        size = min(chunk, n_samples - start)
+
+    def run_chunk(start, noise):
+        size = noise.shape[0]
         idx = (start + np.arange(size)) % n_windows
         adjs = window_adjacencies(graph, idx, cfg)
-        noise = rng.standard_normal((size, cfg.seq_len, cfg.noise_features))
         fake = model.generator_forward(noise, adjs, training=False)
         outputs[start : start + size] = fake.value[:, :, 0]
+
+    workers = min(GENERATE_THREADS, _usable_cores(), len(noises))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for _ in pool.map(run_chunk, starts, noises):
+            pass  # reading each result re-raises a chunk's error here
     return invert_pipeline(outputs, stats)
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on (all cores where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

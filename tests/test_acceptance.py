@@ -193,7 +193,7 @@ def test_criterion_3_gradient_suite():
 
     # lstm
     for batch, steps, fi, hidden in [(2, 4, 3, 4), (1, 5, 2, 3), (3, 3, 4, 2)]:
-        lstm = ly.LSTM(rng, fi, hidden, "l")
+        lstm = ly.LSTM(ly.RandomInit(rng), fi, hidden, "l")
         seq = ad.Parameter(rng.standard_normal((batch, steps, fi)), "seq")
         check("lstm", lambda: ad.tsum(lstm(seq)), lstm.parameters() + [seq])
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -147,6 +152,30 @@ class TestGenerate:
         assert cli.main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs sched_setaffinity and two usable cores",
+    )
+    def test_output_independent_of_core_count(self, trained_dir, price_csv, tmp_path):
+        """A child pinned to one core writes the same bytes as an unpinned one."""
+        one_core = {min(os.sched_getaffinity(0))}
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        written = []
+        for label, pin in (("one_core", lambda: os.sched_setaffinity(0, one_core)),
+                           ("all_cores", None)):
+            out = tmp_path / f"{label}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "siggraphgan", "generate",
+                 "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                 "--input", str(price_csv), "--samples", "200", "--seed", "3",
+                 "--out", str(out)],
+                env=env, preexec_fn=pin, check=True, capture_output=True, timeout=300,
+            )
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     def test_version_mismatch_exits_5(self, tmp_path, price_csv):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"siggraphgan-checkpoint v42\njunk\n")
@@ -250,6 +279,15 @@ class TestEvaluate:
             cli.main(argv)
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bins", ["0", "-1"])
+    def test_nonpositive_bins_exit_2(self, price_csv, tmp_path, capsys, bins):
+        out_dir = tmp_path / "eval_bins"
+        argv = ["evaluate", "--real", str(price_csv), "--fake", str(price_csv),
+                "--out-dir", str(out_dir), "--bins", bins]
+        assert cli.main(argv) == 2
+        assert "--bins" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_malformed_fake_exits_3_with_line(self, price_csv, tmp_path, capsys):
         fake = tmp_path / "broken.csv"

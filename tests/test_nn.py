@@ -49,7 +49,7 @@ class TestDense:
 class TestLstm:
     def test_zero_weights_zero_hidden(self):
         rng = np.random.default_rng(0)
-        lstm = ly.LSTM(rng, 3, 4, "l")
+        lstm = ly.LSTM(ly.RandomInit(rng), 3, 4, "l")
         for p in lstm.parameters():
             p.value = np.zeros_like(p.value)
         out = lstm(ad.Tensor(rng.standard_normal((2, 6, 3))))
@@ -57,13 +57,13 @@ class TestLstm:
 
     def test_single_step(self):
         rng = np.random.default_rng(1)
-        lstm = ly.LSTM(rng, 2, 3, "l")
+        lstm = ly.LSTM(ly.RandomInit(rng), 2, 3, "l")
         out = lstm(ad.Tensor(rng.standard_normal((1, 1, 2))))
         assert out.value.shape == (1, 1, 3)
 
     def test_scalar_hand_computation(self):
         rng = np.random.default_rng(2)
-        lstm = ly.LSTM(rng, 1, 1, "l")
+        lstm = ly.LSTM(ly.RandomInit(rng), 1, 1, "l")
         lstm.w_input.value = np.array([[0.3, -0.2, 0.5, 0.1]])
         lstm.w_recur.value = np.array([[0.05, 0.2, -0.1, 0.4]])
         lstm.bias.value = np.array([0.01, 1.0, -0.02, 0.3])
@@ -82,19 +82,69 @@ class TestLstm:
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(3)
-        lstm = ly.LSTM(rng, 2, 3, "l")
+        lstm = ly.LSTM(ly.RandomInit(rng), 2, 3, "l")
         with pytest.raises(ShapeError):
             lstm(ad.Tensor(np.zeros((1, 4, 5))))
+
+    def test_forward_only_keeps_no_state(self):
+        rng = np.random.default_rng(5)
+        lstm = ly.LSTM(ly.RandomInit(rng), 2, 3, "l")
+        seq = ad.Tensor(rng.standard_normal((4, 7, 2)))
+        with_grad = lstm(seq)
+        assert with_grad._parents
+        for p in lstm.parameters():
+            p.requires_grad = False
+        forward_only = lstm(seq)
+        assert forward_only._parents == ()
+        assert np.array_equal(forward_only.value, with_grad.value)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("steps", [1, 2, 10, 11, 21, 25])
+    def test_blocked_projection_matches_one_product(self, batch, steps):
+        rng = np.random.default_rng(6)
+        lstm = ly.LSTM(ly.RandomInit(rng), 2, 3, "l")
+        x = rng.standard_normal((batch, steps, 2))
+        expected = lstm_over_full_projection(lstm, x)
+        assert np.array_equal(lstm(ad.Tensor(x)).value, expected)
+
+    def test_step_blocks_cover_sequence(self):
+        for steps in range(1, 45):
+            blocks = list(ly._step_blocks(steps))
+            assert blocks[0][0] == 0 and blocks[-1][1] == steps
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert all(stop - start >= min(2, steps) for start, stop in blocks)
+            assert all(stop - start <= ly.PROJECTION_STEPS + 1 for start, stop in blocks)
 
     def test_graph_size_independent_of_length(self):
         # the recurrence is one graph node, not one per time step
         rng = np.random.default_rng(4)
-        lstm = ly.LSTM(rng, 2, 3, "l")
+        lstm = ly.LSTM(ly.RandomInit(rng), 2, 3, "l")
         sizes = []
         for steps in (3, 50):
             out = lstm(ad.Tensor(rng.standard_normal((2, steps, 2))))
             sizes.append(len(ad._toposort(ad.tsum(out))))
         assert sizes[0] == sizes[1]
+
+
+def lstm_over_full_projection(lstm, x):
+    """Reference LSTM forward: the input of all steps projected in one product."""
+    batch, steps, features = x.shape
+    hidden = lstm.hidden
+    gates_in = x.reshape(batch * steps, features) @ lstm.w_input.value + lstm.bias.value
+    gates_in = gates_in.reshape(batch, steps, 4 * hidden)
+    h = np.zeros((batch, hidden))
+    c = np.zeros_like(h)
+    out = np.empty((batch, steps, hidden))
+    for t in range(steps):
+        pre = gates_in[:, t, :] + h @ lstm.w_recur.value
+        gate_i = ly._sigmoid(pre[:, :hidden])
+        gate_f = ly._sigmoid(pre[:, hidden : 2 * hidden])
+        gate_g = np.tanh(pre[:, 2 * hidden : 3 * hidden])
+        gate_o = ly._sigmoid(pre[:, 3 * hidden :])
+        c = gate_f * c + gate_i * gate_g
+        h = gate_o * np.tanh(c)
+        out[:, t, :] = h
+    return out
 
 
 def gcn(h, adjacency, theta):
@@ -194,14 +244,13 @@ class TestActivations:
 
 class TestDropout:
     def test_rate_zero_identity(self):
-        x = np.arange(10.0)
-        out = ad.dropout(ad.Tensor(x), 0.0, training=True, rng=np.random.default_rng(0))
-        assert out.value == pytest.approx(x)
+        x = ad.Tensor(np.arange(10.0))
+        out = ad.dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
+        assert out is x  # no copy, no graph node
 
     def test_inference_identity(self):
-        x = np.arange(10.0)
-        out = ad.dropout(ad.Tensor(x), 0.9, training=False)
-        assert out.value == pytest.approx(x)
+        x = ad.Tensor(np.arange(10.0))
+        assert ad.dropout(x, 0.9, training=False) is x
 
     def test_statistics_at_table_rate(self):
         rng = np.random.default_rng(8)
@@ -308,8 +357,10 @@ class TestGradientSuite:
 
     def test_lstm(self):
         rng = np.random.default_rng(21)
-        for batch, steps, feats, hidden in [(2, 4, 3, 4), (1, 6, 2, 3), (3, 3, 4, 2)]:
-            lstm = ly.LSTM(rng, feats, hidden, "l")
+        # the last shape spans two projection blocks, the second of 11 steps
+        shapes = [(2, 4, 3, 4), (1, 6, 2, 3), (3, 3, 4, 2), (1, 21, 2, 3)]
+        for batch, steps, feats, hidden in shapes:
+            lstm = ly.LSTM(ly.RandomInit(rng), feats, hidden, "l")
             seq = ad.Parameter(rng.standard_normal((batch, steps, feats)), "seq")
             err = gradient_check(
                 lambda: ad.tsum(lstm(seq)), lstm.parameters() + [seq]

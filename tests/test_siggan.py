@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from oracles import gradient_check
 from siggraphgan import autodiff as ad
+from siggraphgan import layers as ly
 from siggraphgan import siggan as sg
 from siggraphgan.checkpoint import (
     Checkpoint,
@@ -22,7 +24,14 @@ from siggraphgan.errors import (
 )
 from siggraphgan.optim import RmsProp
 from siggraphgan.fixture import fixture_prices
-from siggraphgan.preprocess import PreprocessStats, WindowSpec, prepare_training_returns, windows
+from siggraphgan.preprocess import (
+    PreprocessStats,
+    WindowSpec,
+    invert_pipeline,
+    prepare_training_returns,
+    transform_with_stats,
+    windows,
+)
 from siggraphgan.siggan import SigGanConfig, SigGraphGan, generate, train
 
 
@@ -449,6 +458,59 @@ class TestPresetMemory:
         assert result.epoch_losses == []
         assert peak < 128 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
+    def test_generate_chunk_forward_within_budget(self):
+        """One 64-sample kld generator forward without grad stays under 48 MiB.
+
+        Measured at about 28 MiB, on numpy 2.4 / OpenBLAS 0.3.31: each LSTM
+        layer holds its input, its output and one block of projected input.
+        A forward that kept every step's gates for a backward pass and
+        projected the whole sequence at once, in two (B*T, 4H) arrays,
+        peaked at 121 MiB.
+        """
+        cfg = SigGanConfig.for_loss("kld", epochs=0)
+        model = SigGraphGan(cfg)
+        for p in model.generator.parameters():
+            p.requires_grad = False
+        chunk = 64  # generate's chunk size
+        rng = np.random.default_rng(12)
+        series = rng.standard_normal(chunk + cfg.seq_len - 1)
+        adjs = sg.window_adjacencies(sg.series_graph(series, cfg), np.arange(chunk), cfg)
+        noise = rng.standard_normal((chunk, cfg.seq_len, cfg.noise_features))
+        tracemalloc.start()
+        try:
+            fake = model.generator_forward(noise, adjs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fake.value.shape == (chunk, cfg.seq_len, 1)
+        assert peak < 48 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
+
+def sequential_generate(checkpoint, conditioning_log_returns, n_samples, seed):
+    """Reference for `generate`: its chunks run one after the other.
+
+    This is the loop `generate` ran before its chunks ran on threads; the
+    noise of each chunk is drawn just before that chunk's forward.
+    """
+    cfg, stats = checkpoint.config, checkpoint.stats
+    model = checkpoint.build_model()
+    for p in model.generator.parameters():
+        p.requires_grad = False
+    transformed = transform_with_stats(np.asarray(conditioning_log_returns), stats)
+    n_windows = transformed.shape[0] - cfg.seq_len + 1
+    graph = sg.series_graph(transformed[: min(n_samples, n_windows) + cfg.seq_len - 1], cfg)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    outputs = np.empty((n_samples, cfg.seq_len))
+    chunk = 64
+    for start in range(0, n_samples, chunk):
+        size = min(chunk, n_samples - start)
+        idx = (start + np.arange(size)) % n_windows
+        adjs = sg.window_adjacencies(graph, idx, cfg)
+        noise = rng.standard_normal((size, cfg.seq_len, cfg.noise_features))
+        fake = model.generator_forward(noise, adjs, training=False)
+        outputs[start : start + size] = fake.value[:, :, 0]
+    return invert_pipeline(outputs, stats)
+
 
 class TestGenerate:
     def make_checkpoint(self, epochs=1):
@@ -482,6 +544,31 @@ class TestGenerate:
         with pytest.raises(SizeError):
             generate(ckpt, returns[: seq_len - 1], 3, seed=1)
 
+    @pytest.mark.parametrize("n_samples", [1, 64, 65, 200, 450])
+    def test_threaded_matches_sequential_reference(self, monkeypatch, n_samples):
+        # 391 conditioning windows: 450 samples wrap around to the first ones
+        cfg = tiny_config(epochs=1)
+        returns = 0.01 * np.random.default_rng(13).standard_normal(400)
+        stats = PreprocessStats(mean=float(returns.mean()), std=float(returns.std()), delta=0.1)
+        ckpt = train((returns - stats.mean) / stats.std, cfg, stats).checkpoint
+        monkeypatch.setattr(sg, "_usable_cores", lambda: 2)  # two workers even on one core
+        expected = sequential_generate(ckpt, returns, n_samples, seed=9)
+        assert np.array_equal(generate(ckpt, returns, n_samples, seed=9), expected)
+
+    def test_chunk_error_reaches_caller(self, monkeypatch):
+        ckpt, returns = self.make_checkpoint()
+        raised_in = []
+
+        def failing_forward(*args, **kwargs):
+            raised_in.append(threading.current_thread())
+            raise NumericError("non-finite values produced by op 'lstm'")
+
+        monkeypatch.setattr(sg, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(SigGraphGan, "generator_forward", failing_forward)
+        with pytest.raises(NumericError, match="'lstm'"):
+            generate(ckpt, returns, 200, seed=1)
+        assert raised_in and threading.main_thread() not in raised_in
+
     @pytest.mark.parametrize("n_samples", [7, 200])
     def test_graphs_only_for_drawn_windows(self, monkeypatch, n_samples):
         ckpt, returns = self.make_checkpoint()
@@ -496,6 +583,47 @@ class TestGenerate:
         monkeypatch.setattr(sg, "natural_visibility", counted)
         generate(ckpt, returns, n_samples, seed=1)
         assert points == [min(n_samples, n_windows) + ckpt.config.seq_len - 1]
+
+
+class TestBuildModel:
+    def checkpoint(self):
+        cfg = tiny_config(epochs=0)
+        return Checkpoint.from_model(SigGraphGan(cfg), cfg, PreprocessStats(0.0, 1.0, 0.0))
+
+    def test_loads_without_drawing_an_initialization(self, monkeypatch):
+        ckpt = self.checkpoint()
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("build_model drew a random initialization")
+
+        monkeypatch.setattr(ly, "glorot_uniform", no_draw)
+        monkeypatch.setattr(ly, "orthogonal_init", no_draw)
+        model = ckpt.build_model()
+        for stored, params in (
+            (ckpt.generator_params, model.generator.parameters()),
+            (ckpt.discriminator_params, model.discriminator.parameters()),
+        ):
+            assert [name for name, _ in stored] == [p.name for p in params]
+            for (_, value), param in zip(stored, params):
+                assert np.array_equal(value, param.value)
+                assert not np.shares_memory(value, param.value)
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda params: params.pop(), "holds 16 parameters, model expects more"),
+            (lambda params: params.append(("extra", np.zeros(1))),
+             "holds 18 parameters, model expects 17"),
+            (lambda params: params.insert(0, params.pop(1)), "order mismatch"),
+            (lambda params: params.__setitem__(0, (params[0][0], np.zeros((1, 1)))),
+             "does not match"),
+        ],
+    )
+    def test_mismatched_parameters_rejected(self, tamper, message):
+        ckpt = self.checkpoint()
+        tamper(ckpt.generator_params)
+        with pytest.raises(ShapeError, match=message):
+            ckpt.build_model()
 
 
 class TestCheckpointRoundTrip:
