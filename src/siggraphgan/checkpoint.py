@@ -65,13 +65,22 @@ class Checkpoint:
         source, so no random initialization is drawn. Names, order, shapes
         and counts must match what the config's architecture asks for.
         """
-        inits = (
-            _StoredParams(self.generator_params),
-            _StoredParams(self.discriminator_params),
-        )
+        return self._from_stored(self.generator_params, self.discriminator_params)
+
+    def build_generator(self) -> SigGraphGan:
+        """The model with only its generator built, as `build_model` builds it.
+
+        Its discriminator is None, so the discriminator's stored values are
+        neither copied nor checked; sampling needs only the generator.
+        """
+        return self._from_stored(self.generator_params, None)
+
+    def _from_stored(self, *groups) -> SigGraphGan:
+        inits = [None if stored is None else _StoredParams(stored) for stored in groups]
         model = SigGraphGan(self.config, inits=inits)
         for init in inits:
-            init.check_all_taken()
+            if init is not None:
+                init.check_all_taken()
         return model
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -65,10 +66,12 @@ class RunConfig:
 def parse_run_config(path) -> RunConfig:
     """Read a flat key=value config file; unknown keys are rejected."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise DataError(f"cannot open config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not UTF-8 text: {exc}") from exc
 
     items: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -135,34 +138,42 @@ def _samples_csv_text(samples: np.ndarray) -> str:
 def _read_returns_csv(path) -> np.ndarray:
     """Parse either a price CSV (date,close) or a generated-sample CSV."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             header = handle.readline().strip()
+            if header == "sample_id,step,log_return":
+                return _read_sample_rows(path, handle)
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     if header == "date,close":
         return log_returns(load_price_csv(path)).values
-    if header == "sample_id,step,log_return":
-        values = []
-        with open(path) as handle:
-            handle.readline()
-            for lineno, raw in enumerate(handle, start=2):
-                line = raw.strip()
-                if not line:
-                    continue
-                fields = line.split(",")
-                if len(fields) != 3:
-                    raise DataError(f"{path}:{lineno}: expected 3 fields")
-                try:
-                    values.append(float(fields[2]))
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: bad log_return {fields[2]!r}") from exc
-        if not values:
-            raise DataError(f"{path}: no data rows")
-        return np.array(values)
     raise DataError(
         f"{path}: unrecognized header {header!r}; expected 'date,close' or "
         f"'sample_id,step,log_return'"
     )
+
+
+def _read_sample_rows(path, handle) -> np.ndarray:
+    """The finite ``log_return`` column of a sample CSV's data rows."""
+    values = []
+    for lineno, raw in enumerate(handle, start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 fields")
+        try:
+            value = float(fields[2])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad log_return {fields[2]!r}") from exc
+        if not math.isfinite(value):
+            raise DataError(f"{path}:{lineno}: non-finite log_return {fields[2]!r}")
+        values.append(value)
+    if not values:
+        raise DataError(f"{path}: no data rows")
+    return np.array(values)
 
 
 def _histogram_csv_text(real: np.ndarray, fake: np.ndarray, bins: int) -> str:
@@ -176,7 +187,7 @@ def _histogram_csv_text(real: np.ndarray, fake: np.ndarray, bins: int) -> str:
     lines = ["bin_left,bin_right,count_real,count_fake"]
     for i in range(bins):
         lines.append(
-            f"{edges[i]!r},{edges[i + 1]!r},{count_real[i]},{count_fake[i]}"
+            f"{float(edges[i])!r},{float(edges[i + 1])!r},{count_real[i]},{count_fake[i]}"
         )
     return "\n".join(lines) + "\n"
 

@@ -356,36 +356,41 @@ def transform_with_stats(raw_log_returns: np.ndarray, stats: PreprocessStats) ->
 
 def load_price_csv(path) -> PriceSeries:
     """Read a ``date,close`` CSV with ISO dates in strictly ascending order."""
-    timestamps: list[datetime.date] = []
-    closes: list[float] = []
     try:
-        handle = open(path, newline="")
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
     except OSError as exc:
         raise DataError(f"cannot open price CSV {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["date", "close"]:
-            raise DataError(f"{path}: expected header 'date,close', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            try:
-                date = datetime.date.fromisoformat(row[0].strip())
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad date {row[0]!r}") from exc
-            try:
-                close = float(row[1])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad close {row[1]!r}") from exc
-            if timestamps and date <= timestamps[-1]:
-                raise OrderingError(
-                    f"{path}:{lineno}: dates must be strictly ascending"
-                )
-            timestamps.append(date)
-            closes.append(close)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from exc
+    header = rows[0] if rows else None
+    if header is None or [h.strip() for h in header] != ["date", "close"]:
+        raise DataError(f"{path}: expected header 'date,close', got {header}")
+    timestamps: list[datetime.date] = []
+    closes: list[float] = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+        try:
+            date = datetime.date.fromisoformat(row[0].strip())
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad date {row[0]!r}") from exc
+        try:
+            close = float(row[1])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad close {row[1]!r}") from exc
+        if not math.isfinite(close):
+            raise DataError(f"{path}:{lineno}: non-finite close {row[1]!r}")
+        if timestamps and date <= timestamps[-1]:
+            raise OrderingError(
+                f"{path}:{lineno}: dates must be strictly ascending"
+            )
+        timestamps.append(date)
+        closes.append(close)
     if len(closes) < 2:
         raise SizeError(f"{path}: need at least 2 rows, got {len(closes)}")
     return PriceSeries(timestamps, np.array(closes))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,8 +35,8 @@ from .visibility import VisibilityGraph, natural_visibility
 
 GRAD_CLIP_NORM = 5.0
 
-# generate() runs this many samples per forward pass, and at most this many
-# forward passes at once
+# generate() runs at most this many samples per forward pass, and at most
+# this many forward passes at once
 GENERATE_CHUNK = 64
 GENERATE_THREADS = 2
 
@@ -432,7 +433,8 @@ class SigGraphGan:
     By default both networks are initialized at random from ``seed_seq``
     (from the config seed if not given). ``inits`` instead gives the
     (generator, discriminator) parameter sources, as the checkpoint loader
-    does; then nothing is drawn.
+    does; then nothing is drawn. A discriminator source of None leaves the
+    discriminator unbuilt (None), for sampling.
     """
 
     def __init__(self, cfg: SigGanConfig, seed_seq: np.random.SeedSequence | None = None,
@@ -447,7 +449,7 @@ class SigGraphGan:
             ]
         gen_init, disc_init = inits
         self.generator = GanNetwork(gen_init, cfg, cfg.noise_features, "gen")
-        self.discriminator = GanNetwork(disc_init, cfg, 1, "disc")
+        self.discriminator = None if disc_init is None else GanNetwork(disc_init, cfg, 1, "disc")
 
     def generator_forward(self, noise, norm_adjacency, training=False, rng=None) -> Tensor:
         return self.generator.forward(ad.as_tensor(noise), norm_adjacency, training, rng)
@@ -586,12 +588,16 @@ def generate(
     the points of the windows the samples draw, and each chunk of samples
     slices its windows' adjacency from it.
 
-    Samples run in chunks of `GENERATE_CHUNK`, up to `GENERATE_THREADS` at
-    once on threads (numpy releases the interpreter lock inside its array
-    operations). All noise is drawn up front in chunk order and each chunk
-    writes only its own rows, so the output is bit for bit the same for
-    any number of cores or threads. A chunk's error, such as
-    `NumericError`, is raised to the caller.
+    Samples run in the chunks `generate_chunks` plans, up to
+    `GENERATE_THREADS` at once on threads (numpy releases the interpreter
+    lock inside its array operations). All noise is drawn up front and
+    each chunk writes only its own rows. No chunk has a single row unless
+    one sample is drawn, and every row of a product with two or more rows
+    comes out the same whatever the other rows are, so each output equals
+    one unchunked forward over all samples: it does not depend on the
+    number of cores or threads, and the first m >= 2 samples do not depend
+    on how many more are drawn. A chunk's error, such as `NumericError`,
+    is raised to the caller.
 
     Returns an (n_samples, seq_len) array of log returns.
     """
@@ -599,7 +605,7 @@ def generate(
     stats = checkpoint.stats
     if n_samples < 0:
         raise ConfigError("n_samples must be >= 0")
-    model = checkpoint.build_model()
+    model = checkpoint.build_generator()
     for p in model.generator.parameters():
         p.requires_grad = False  # no backward follows, so ops keep no graph
     if n_samples == 0:
@@ -615,30 +621,39 @@ def generate(
     # samples cycle through the first min(n_samples, n_windows) windows only
     graph = series_graph(transformed[: min(n_samples, n_windows) + cfg.seq_len - 1], cfg)
 
-    # every chunk's noise is drawn before any forward runs, in chunk order,
-    # so the draws do not depend on how the chunks are scheduled
+    # all noise is drawn before any forward runs, so the draws do not
+    # depend on how the chunks are scheduled
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    starts = range(0, n_samples, GENERATE_CHUNK)
-    noises = [
-        rng.standard_normal(
-            (min(GENERATE_CHUNK, n_samples - start), cfg.seq_len, cfg.noise_features)
-        )
-        for start in starts
-    ]
+    noise = rng.standard_normal((n_samples, cfg.seq_len, cfg.noise_features))
+    sizes = generate_chunks(n_samples)
+    starts = list(accumulate(sizes[:-1], initial=0))
     outputs = np.empty((n_samples, cfg.seq_len))
 
-    def run_chunk(start, noise):
-        size = noise.shape[0]
-        idx = (start + np.arange(size)) % n_windows
+    def run_chunk(start, size):
+        rows = slice(start, start + size)
+        idx = np.arange(start, start + size) % n_windows
         adjs = window_adjacencies(graph, idx, cfg)
-        fake = model.generator_forward(noise, adjs, training=False)
-        outputs[start : start + size] = fake.value[:, :, 0]
+        fake = model.generator_forward(noise[rows], adjs, training=False)
+        outputs[rows] = fake.value[:, :, 0]
 
-    workers = min(GENERATE_THREADS, _usable_cores(), len(noises))
+    workers = min(GENERATE_THREADS, _usable_cores(), len(sizes))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for _ in pool.map(run_chunk, starts, noises):
+        for _ in pool.map(run_chunk, starts, sizes):
             pass  # reading each result re-raises a chunk's error here
     return invert_pipeline(outputs, stats)
+
+
+def generate_chunks(n_samples: int) -> list[int]:
+    """Rows per forward pass of `generate`, in sample order.
+
+    At most `GENERATE_CHUNK` rows each, and at least `GENERATE_THREADS`
+    chunks while that leaves two or more rows per chunk, with sizes that
+    differ by at most one: 64 samples run as 32 + 32, 200 as 4 x 50. The
+    plan depends only on ``n_samples``, never on the machine.
+    """
+    chunks = max(-(-n_samples // GENERATE_CHUNK), min(GENERATE_THREADS, n_samples // 2))
+    base, extra = divmod(n_samples, chunks)
+    return [base + 1] * extra + [base] * (chunks - extra)
 
 
 def _usable_cores() -> int:

@@ -70,6 +70,12 @@ class TestTrain:
         assert cli.main(["train", "--config", str(cfg)]) == 2
         assert "learning_rte" in capsys.readouterr().err
 
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"epochs = 1\nseed = \xff\n")
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
     def test_histogram_bins_key_exits_2(self, tmp_path, price_csv, capsys):
         cfg = tmp_path / "bins.cfg"
         write_config(cfg, price_csv, tmp_path, histogram_bins=50)
@@ -176,6 +182,14 @@ class TestGenerate:
             written.append(out.read_bytes())
         assert written[0] == written[1]
 
+    def test_undecodable_input_exits_3(self, trained_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"date,close\n2020-01-01,\xff\n")
+        argv = ["generate", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                "--input", str(bad), "--samples", "1", "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 3
+        assert "UTF-8" in capsys.readouterr().err
+
     def test_version_mismatch_exits_5(self, tmp_path, price_csv):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"siggraphgan-checkpoint v42\njunk\n")
@@ -267,6 +281,13 @@ class TestEvaluate:
         for k in (1, 5, 10):
             hist = (out_dir / f"hist_k{k}.csv").read_text().splitlines()
             assert hist[0] == "bin_left,bin_right,count_real,count_fake"
+            edges = [float(line.split(",")[0]) for line in hist[1:]]
+            edges.append(float(hist[-1].split(",")[1]))
+            assert all(left < right for left, right in zip(edges, edges[1:]))
+            assert all(
+                float(line.split(",")[1]) == float(after.split(",")[0])
+                for line, after in zip(hist[1:], hist[2:])
+            )
             real_total = sum(int(line.split(",")[2]) for line in hist[1:])
             fake_total = sum(int(line.split(",")[3]) for line in hist[1:])
             assert real_total == n_real - k + 1
@@ -305,6 +326,44 @@ class TestEvaluate:
         )
         assert code == 3
         assert ":3" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_log_return_exits_3_with_line(self, price_csv, tmp_path, capsys, value):
+        fake = tmp_path / "nonfinite.csv"
+        rows = [f"{i // 12},{i % 12},0.001" for i in range(240)]
+        rows[100] = f"8,4,{value}"
+        fake.write_text("sample_id,step,log_return\n" + "\n".join(rows) + "\n")
+        out_dir = tmp_path / "ev"
+        argv = ["evaluate", "--real", str(price_csv), "--fake", str(fake),
+                "--out-dir", str(out_dir)]
+        assert cli.main(argv) == 3
+        assert ":102" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_infinite_close_exits_3_with_line(self, price_csv, tmp_path, capsys):
+        lines = price_csv.read_text().splitlines()
+        date = lines[200].split(",")[0]
+        lines[200] = f"{date},inf"
+        real = tmp_path / "inf_close.csv"
+        real.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "ev"
+        argv = ["evaluate", "--real", str(real), "--fake", str(price_csv),
+                "--out-dir", str(out_dir)]
+        assert cli.main(argv) == 3
+        assert ":201" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("side", ["--real", "--fake"])
+    @pytest.mark.parametrize("header", ["date,close", "sample_id,step,log_return"])
+    def test_undecodable_csv_exits_3(self, price_csv, tmp_path, capsys, side, header):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(header.encode() + b"\n0,0,\xff\n")
+        paths = {"--real": str(price_csv), "--fake": str(price_csv), side: str(bad)}
+        argv = ["evaluate", *[a for pair in paths.items() for a in pair],
+                "--out-dir", str(tmp_path / "ev")]
+        assert cli.main(argv) == 3
+        assert "UTF-8" in capsys.readouterr().err
 
 
 class TestAblate:

@@ -1,0 +1,110 @@
+"""Randomized checks of the guarantees the README states for files on disk.
+
+A checkpoint cut short at any byte raises `CheckpointParseError`; every
+offset inside the header is tried, and drawn offsets cover the payloads.
+The CLI, fed arbitrary bytes as a config file or as either CSV of
+`evaluate`, exits only with 2 (configuration error) or 3 (data error):
+never 0, never a traceback. Examples come from the derandomized profile
+in conftest.py, so every run checks the same cases.
+"""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from siggraphgan import cli
+from siggraphgan.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from siggraphgan.errors import CheckpointParseError
+from siggraphgan.fixture import fixture_csv_text
+from siggraphgan.preprocess import PreprocessStats
+from siggraphgan.siggan import SigGanConfig, SigGraphGan
+
+# At most this many bytes follow a CSV header. A report needs 119 returns,
+# so no CSV this short is valid input, and every outcome is an error.
+MAX_BODY = 400
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("io_properties")
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(workdir):
+    cfg = SigGanConfig.for_loss(
+        "mse", seq_len=4, gnn_neurons=2, geo_lstm_neurons=2, rec_lstm_neurons=2,
+        gnn_layers=1, rec_lstm_layers=1, batch_size=2, epochs=0,
+    )
+    ckpt = Checkpoint.from_model(SigGraphGan(cfg), cfg, PreprocessStats(0.0, 1.0, 0.0))
+    path = workdir / "whole.bin"
+    save_checkpoint(ckpt, path)
+    return path.read_bytes()
+
+
+def header_end(data: bytes) -> int:
+    """Offset of the first parameter payload: the end of the text header."""
+    first_param = data.index(b"\nparam ") + 1
+    return data.index(b"\n", first_param) + 1 + 8  # the param line, then its count
+
+
+def assert_truncation_rejected(data, offset, path):
+    path.write_bytes(data[:offset])
+    with pytest.raises(CheckpointParseError):
+        load_checkpoint(path)
+
+
+def test_truncated_header_rejected_at_every_offset(checkpoint_bytes, workdir):
+    path = workdir / "cut_header.bin"
+    for offset in range(header_end(checkpoint_bytes)):
+        assert_truncation_rejected(checkpoint_bytes, offset, path)
+
+
+@given(fraction=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_checkpoint_rejected(checkpoint_bytes, workdir, fraction):
+    offset = int(fraction * len(checkpoint_bytes))
+    assert_truncation_rejected(checkpoint_bytes, offset, workdir / "cut.bin")
+
+
+def csv_like_bytes(header: bytes):
+    """Arbitrary bytes, text, or rows of CSV-like fragments after ``header``."""
+    fragment = st.sampled_from(
+        ["", "0", "1", "-1", "0.5", "1e999", "-1e999", "nan", "inf", "-inf", "2020-01-01",
+         "2019-12-31", "x", '"', "\r", " ", "\x00", "\u00e9", ",", "\ufeff"]
+    )
+    rows = st.lists(st.lists(fragment, max_size=4).map(",".join), max_size=12).map(
+        lambda lines: "\n".join(lines).encode()
+    )
+    body = st.one_of(st.binary(), st.text().map(str.encode), rows)
+    return body.map(lambda b: (header + b)[: len(header) + MAX_BODY])
+
+
+ANY_FILE = st.one_of(
+    st.binary(max_size=MAX_BODY),
+    csv_like_bytes(b"date,close\n"),
+    csv_like_bytes(b"sample_id,step,log_return\n"),
+)
+
+
+@given(data=st.one_of(ANY_FILE, csv_like_bytes(b"epochs = 0\nseed = 1\n")))
+def test_any_config_bytes_exit_2_or_3(workdir, data):
+    path = workdir / "any.cfg"
+    path.write_bytes(data)
+    assert cli.main(["train", "--config", str(path)]) in (2, 3)
+
+
+@pytest.fixture(scope="module")
+def price_csv(workdir):
+    path = workdir / "prices.csv"
+    path.write_text("\n".join(fixture_csv_text().splitlines()[:301]) + "\n")
+    return path
+
+
+@given(data=ANY_FILE, side=st.sampled_from(["--real", "--fake"]))
+def test_any_csv_bytes_exit_2_or_3(workdir, price_csv, data, side):
+    path = workdir / "any.csv"
+    path.write_bytes(data)
+    argv = ["evaluate", "--real", str(price_csv), "--fake", str(price_csv),
+            "--out-dir", str(workdir / "eval")]
+    argv[argv.index(side) + 1] = str(path)
+    assert cli.main(argv) in (2, 3)
+    assert not (workdir / "eval").exists()

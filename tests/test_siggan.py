@@ -471,7 +471,7 @@ class TestPresetMemory:
         model = SigGraphGan(cfg)
         for p in model.generator.parameters():
             p.requires_grad = False
-        chunk = 64  # generate's chunk size
+        chunk = sg.GENERATE_CHUNK  # generate's largest chunk
         rng = np.random.default_rng(12)
         series = rng.standard_normal(chunk + cfg.seq_len - 1)
         adjs = sg.window_adjacencies(sg.series_graph(series, cfg), np.arange(chunk), cfg)
@@ -486,12 +486,8 @@ class TestPresetMemory:
         assert peak < 48 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
 
-def sequential_generate(checkpoint, conditioning_log_returns, n_samples, seed):
-    """Reference for `generate`: its chunks run one after the other.
-
-    This is the loop `generate` ran before its chunks ran on threads; the
-    noise of each chunk is drawn just before that chunk's forward.
-    """
+def unchunked_generate(checkpoint, conditioning_log_returns, n_samples, seed):
+    """Reference for `generate`: one generator forward over all samples."""
     cfg, stats = checkpoint.config, checkpoint.stats
     model = checkpoint.build_model()
     for p in model.generator.parameters():
@@ -500,16 +496,19 @@ def sequential_generate(checkpoint, conditioning_log_returns, n_samples, seed):
     n_windows = transformed.shape[0] - cfg.seq_len + 1
     graph = sg.series_graph(transformed[: min(n_samples, n_windows) + cfg.seq_len - 1], cfg)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    outputs = np.empty((n_samples, cfg.seq_len))
-    chunk = 64
-    for start in range(0, n_samples, chunk):
-        size = min(chunk, n_samples - start)
-        idx = (start + np.arange(size)) % n_windows
-        adjs = sg.window_adjacencies(graph, idx, cfg)
-        noise = rng.standard_normal((size, cfg.seq_len, cfg.noise_features))
-        fake = model.generator_forward(noise, adjs, training=False)
-        outputs[start : start + size] = fake.value[:, :, 0]
-    return invert_pipeline(outputs, stats)
+    noise = rng.standard_normal((n_samples, cfg.seq_len, cfg.noise_features))
+    adjs = sg.window_adjacencies(graph, np.arange(n_samples) % n_windows, cfg)
+    fake = model.generator_forward(noise, adjs, training=False)
+    return invert_pipeline(fake.value[:, :, 0], stats)
+
+
+@pytest.fixture(scope="module")
+def long_checkpoint():
+    """Tiny trained checkpoint, with 400 returns of conditioning (391 windows)."""
+    cfg = tiny_config(epochs=1)
+    returns = 0.01 * np.random.default_rng(13).standard_normal(400)
+    stats = PreprocessStats(mean=float(returns.mean()), std=float(returns.std()), delta=0.1)
+    return train((returns - stats.mean) / stats.std, cfg, stats).checkpoint, returns
 
 
 class TestGenerate:
@@ -545,15 +544,65 @@ class TestGenerate:
             generate(ckpt, returns[: seq_len - 1], 3, seed=1)
 
     @pytest.mark.parametrize("n_samples", [1, 64, 65, 200, 450])
-    def test_threaded_matches_sequential_reference(self, monkeypatch, n_samples):
-        # 391 conditioning windows: 450 samples wrap around to the first ones
-        cfg = tiny_config(epochs=1)
-        returns = 0.01 * np.random.default_rng(13).standard_normal(400)
-        stats = PreprocessStats(mean=float(returns.mean()), std=float(returns.std()), delta=0.1)
-        ckpt = train((returns - stats.mean) / stats.std, cfg, stats).checkpoint
+    def test_threaded_matches_sequential_reference(self, monkeypatch, long_checkpoint, n_samples):
+        # 450 samples wrap around to the first of the 391 windows
+        ckpt, returns = long_checkpoint
         monkeypatch.setattr(sg, "_usable_cores", lambda: 2)  # two workers even on one core
-        expected = sequential_generate(ckpt, returns, n_samples, seed=9)
+        expected = unchunked_generate(ckpt, returns, n_samples, seed=9)
         assert np.array_equal(generate(ckpt, returns, n_samples, seed=9), expected)
+
+    @pytest.mark.parametrize("m", [2, 64, 65, 129])
+    def test_first_samples_do_not_depend_on_count(self, long_checkpoint, m):
+        ckpt, returns = long_checkpoint
+        more = generate(ckpt, returns, m + 1, seed=9)
+        assert np.array_equal(generate(ckpt, returns, m, seed=9), more[:m])
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 3, 4, 5, 63, 64, 65, 128, 129, 200, 450, 1000])
+    def test_chunk_plan_covers_samples_evenly(self, n_samples):
+        sizes = sg.generate_chunks(n_samples)
+        assert sum(sizes) == n_samples
+        assert max(sizes) <= sg.GENERATE_CHUNK
+        assert max(sizes) - min(sizes) <= 1
+        assert len(sizes) >= min(sg.GENERATE_THREADS, n_samples // 2)
+        if n_samples >= 2:
+            assert min(sizes) >= 2
+
+    @pytest.mark.parametrize("n_samples", [3, 64, 129])
+    def test_chunk_plan_ignores_core_count(self, monkeypatch, n_samples):
+        ckpt, returns = self.make_checkpoint()
+        forward = SigGraphGan.generator_forward
+        rows = []
+
+        def counted(model, noise, *args, **kwargs):
+            rows.append(noise.shape[0])
+            return forward(model, noise, *args, **kwargs)
+
+        monkeypatch.setattr(SigGraphGan, "generator_forward", counted)
+        plans = []
+        for cores in (1, 2, 8):
+            monkeypatch.setattr(sg, "_usable_cores", lambda: cores)
+            rows.clear()
+            generate(ckpt, returns, n_samples, seed=1)
+            plans.append(sorted(rows))
+        assert plans == [sorted(sg.generate_chunks(n_samples))] * 3
+
+    def test_64_samples_run_on_two_worker_threads(self, monkeypatch):
+        ckpt, returns = self.make_checkpoint()
+        forward = SigGraphGan.generator_forward
+        # each chunk waits until the other is running too
+        both_running = threading.Barrier(2, timeout=30)
+        ran_in = []
+
+        def rendezvous(*args, **kwargs):
+            ran_in.append(threading.current_thread())
+            both_running.wait()
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(sg, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(SigGraphGan, "generator_forward", rendezvous)
+        assert generate(ckpt, returns, 64, seed=1).shape == (64, ckpt.config.seq_len)
+        assert len(ran_in) == 2 and len(set(ran_in)) == 2
+        assert threading.main_thread() not in ran_in
 
     def test_chunk_error_reaches_caller(self, monkeypatch):
         ckpt, returns = self.make_checkpoint()
@@ -585,45 +634,63 @@ class TestGenerate:
         assert points == [min(n_samples, n_windows) + ckpt.config.seq_len - 1]
 
 
+# ways to corrupt a network's stored parameter list, and the error each gives
+TAMPERS = [
+    (lambda params: params.pop(), "holds 16 parameters, model expects more"),
+    (lambda params: params.append(("extra", np.zeros(1))),
+     "holds 18 parameters, model expects 17"),
+    (lambda params: params.insert(0, params.pop(1)), "order mismatch"),
+    (lambda params: params.__setitem__(0, (params[0][0], np.zeros((1, 1)))),
+     "does not match"),
+]
+
+
 class TestBuildModel:
     def checkpoint(self):
         cfg = tiny_config(epochs=0)
         return Checkpoint.from_model(SigGraphGan(cfg), cfg, PreprocessStats(0.0, 1.0, 0.0))
 
-    def test_loads_without_drawing_an_initialization(self, monkeypatch):
-        ckpt = self.checkpoint()
-
+    def forbid_draws(self, monkeypatch):
         def no_draw(*args, **kwargs):
-            raise AssertionError("build_model drew a random initialization")
+            raise AssertionError("a stored model drew a random initialization")
 
         monkeypatch.setattr(ly, "glorot_uniform", no_draw)
         monkeypatch.setattr(ly, "orthogonal_init", no_draw)
-        model = ckpt.build_model()
-        for stored, params in (
-            (ckpt.generator_params, model.generator.parameters()),
-            (ckpt.discriminator_params, model.discriminator.parameters()),
-        ):
-            assert [name for name, _ in stored] == [p.name for p in params]
-            for (_, value), param in zip(stored, params):
-                assert np.array_equal(value, param.value)
-                assert not np.shares_memory(value, param.value)
 
-    @pytest.mark.parametrize(
-        "tamper, message",
-        [
-            (lambda params: params.pop(), "holds 16 parameters, model expects more"),
-            (lambda params: params.append(("extra", np.zeros(1))),
-             "holds 18 parameters, model expects 17"),
-            (lambda params: params.insert(0, params.pop(1)), "order mismatch"),
-            (lambda params: params.__setitem__(0, (params[0][0], np.zeros((1, 1)))),
-             "does not match"),
-        ],
-    )
+    def assert_holds_copies(self, stored, params):
+        assert [name for name, _ in stored] == [p.name for p in params]
+        for (_, value), param in zip(stored, params):
+            assert np.array_equal(value, param.value)
+            assert not np.shares_memory(value, param.value)
+
+    def test_loads_without_drawing_an_initialization(self, monkeypatch):
+        ckpt = self.checkpoint()
+        self.forbid_draws(monkeypatch)
+        model = ckpt.build_model()
+        self.assert_holds_copies(ckpt.generator_params, model.generator.parameters())
+        self.assert_holds_copies(ckpt.discriminator_params, model.discriminator.parameters())
+
+    def test_generator_alone_skips_discriminator_values(self, monkeypatch):
+        ckpt = self.checkpoint()
+        ckpt.discriminator_params = []  # neither copied nor checked
+        self.forbid_draws(monkeypatch)
+        model = ckpt.build_generator()
+        assert model.discriminator is None
+        self.assert_holds_copies(ckpt.generator_params, model.generator.parameters())
+
+    @pytest.mark.parametrize("tamper, message", TAMPERS)
     def test_mismatched_parameters_rejected(self, tamper, message):
         ckpt = self.checkpoint()
         tamper(ckpt.generator_params)
         with pytest.raises(ShapeError, match=message):
             ckpt.build_model()
+
+    @pytest.mark.parametrize("tamper, message", TAMPERS)
+    def test_generator_alone_checks_its_values(self, tamper, message):
+        ckpt = self.checkpoint()
+        tamper(ckpt.generator_params)
+        with pytest.raises(ShapeError, match=message):
+            ckpt.build_generator()
 
 
 class TestCheckpointRoundTrip:
