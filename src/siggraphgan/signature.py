@@ -238,9 +238,10 @@ def leadlag_window_mean(series, points: int, degree: int = 5) -> np.ndarray:
     of block q and suffix_q[r] for the rest of that block; by Chen's
     identity the window starting at s = q*m + r is
     suffix_q[r] (x) prefix_{q+1}[r]. So level k of the mean over the
-    W = n - points + 1 windows is sum_{i+j=k} S_i^T P_j / W, where column s
-    of S_i and P_j holds level i of suffix_q[r] and level j of
-    prefix_{q+1}[r].
+    W = n - points + 1 windows is sum_{i+j=k} S_i^T P_j / W, where one
+    column of S_i and P_j holds level i of suffix_q[r] and level j of
+    prefix_{q+1}[r]. Columns run r-major, as the scans write them, and
+    the columns of windows past the last are zero in S.
 
     Both scans run the engine's Chen step with the blocks as columns. A
     suffix is a prepend, which the step cannot do, but word reversal turns
@@ -277,22 +278,26 @@ def leadlag_window_mean(series, points: int, degree: int = 5) -> np.ndarray:
                 _chen_step(sig, prev, increments[r], tables[c])
             yield r, sig
 
-    # (m, L, n_blocks) while scanning, one contiguous slab per r
-    prefix = np.zeros((m, length, n_blocks))
+    # (L, m, n_blocks): each scan step writes L contiguous rows, and the
+    # (L, m * n_blocks) view puts block q at r in column r * n_blocks + q.
+    # One allocation per call and no copies, so repeated calls reuse the
+    # same heap block instead of faulting in fresh pages.
+    suffix, prefix = np.empty((2, length, m, n_blocks))
+    prefix[:, 0] = 0.0
     prefix[0, 0] = 1.0  # no increments yet: the identity
     for r, sig in running(range(m - 1), (0, 1)):
-        prefix[r + 1] = sig
-    suffix = np.empty((m, length, n_blocks))
+        prefix[:, r + 1] = sig
     reversal = _word_reversal(degree)
     for r, sig in running(range(m - 1, -1, -1), (1, 0)):
-        suffix[r] = sig[reversal]
+        suffix[:, r] = sig[reversal]
+    starts = np.arange(n_blocks) * m + np.arange(m)[:, None]  # window start q*m + r
+    suffix[:, starts >= n_windows] = 0.0
 
-    def by_start(slabs):
-        """(L, n_blocks * m): column q*m + r holds block q at r."""
-        return np.ascontiguousarray(slabs.transpose(1, 2, 0)).reshape(length, -1)
-
-    suffix = by_start(suffix)[:, :n_windows]  # window s = q*m + r starts with suffix_q[r]
-    prefix = by_start(prefix)[:, m : m + n_windows]  # and ends with prefix_{q+1}[r]
+    # window s = q*m + r starts with suffix_q[r] and ends with prefix_{q+1}[r],
+    # the next column; a pair that wraps to the next r is the last block's,
+    # which starts no window, so its suffix column is zero
+    suffix = suffix.reshape(length, -1)[:, :-1]
+    prefix = prefix.reshape(length, -1)[:, 1:]
 
     offs = level_offsets(2, degree)
     mean = np.empty(length)
