@@ -11,20 +11,17 @@ __version__ = "0.1.0"
 
 from .baselines import GarchParams, GbmParams, garch_fit, garch_simulate, gbm_fit, gbm_simulate
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .metrics import MetricsReport, build_report, emd_1d, k_day_aggregate, leverage_effect_score, sig_rmse
+from .metrics import MetricsReport, build_report, emd_1d, k_day_aggregate, leverage_effect_score
 from .preprocess import (
-    LambertParams,
+    PreprocessStats,
     PriceSeries,
     ReturnSeries,
-    WindowSpec,
     degaussianize,
     fit_delta,
+    fit_stats,
     gaussianize,
-    lambert_w0,
     load_price_csv,
     log_returns,
-    normalize,
-    windows,
 )
 from .siggan import SigGanConfig, SigGraphGan, generate, sig_kld_loss, sig_mse_loss, train
 from .signature import leadlag_signature_batch, sig_length
@@ -35,18 +32,18 @@ __all__ = [
     "Checkpoint",
     "GarchParams",
     "GbmParams",
-    "LambertParams",
     "MetricsReport",
+    "PreprocessStats",
     "PriceSeries",
     "ReturnSeries",
     "SigGanConfig",
     "SigGraphGan",
     "VisibilityGraph",
-    "WindowSpec",
     "build_report",
     "degaussianize",
     "emd_1d",
     "fit_delta",
+    "fit_stats",
     "garch_fit",
     "garch_simulate",
     "gaussianize",
@@ -54,19 +51,15 @@ __all__ = [
     "gbm_simulate",
     "generate",
     "k_day_aggregate",
-    "lambert_w0",
     "leadlag_signature_batch",
     "leverage_effect_score",
     "load_checkpoint",
     "load_price_csv",
     "log_returns",
     "natural_visibility",
-    "normalize",
     "save_checkpoint",
     "sig_kld_loss",
     "sig_length",
     "sig_mse_loss",
-    "sig_rmse",
     "train",
-    "windows",
 ]

@@ -21,6 +21,11 @@ from .preprocess import PriceSeries, log_returns
 
 GARCH_BURN_IN = 500
 
+# garch_fit's likelihood-evaluation budget, split over its two starts, and
+# the per-sweep likelihood gain below which a start counts as converged
+GARCH_MAX_EVALUATIONS = 10_000
+GARCH_TOLERANCE = 1e-8
+
 
 @dataclass(frozen=True)
 class GarchParams:
@@ -88,14 +93,14 @@ def _unpack(thetas: np.ndarray) -> tuple[float, float, float]:
     return math.exp(a), eb / denom, ec / denom
 
 
-def _coordinate_ascent(objective, start, budget, tolerance):
+def _coordinate_ascent(objective, start, budget):
     """Shrinking-step coordinate search; returns (point, value, converged).
 
     Each sweep tries one +-step move per coordinate; a coordinate whose
     both directions fail has its step halved, and sweeps whose total gain
     is negligible relative to the objective scale halve every step (flat
     ridges otherwise sustain float-noise gains forever). Converged once
-    every step is tiny or a sweep gains less than ``tolerance`` at an
+    every step is tiny or a sweep gains less than `GARCH_TOLERANCE` at an
     already-small step scale.
     """
     thetas = np.asarray(start, dtype=np.float64).copy()
@@ -103,7 +108,7 @@ def _coordinate_ascent(objective, start, budget, tolerance):
     evaluations = 0
     best = objective(thetas)
     evaluations += 1
-    shrink_gain = max(tolerance, 1e-6 * (1.0 + abs(best)))
+    shrink_gain = max(GARCH_TOLERANCE, 1e-6 * (1.0 + abs(best)))
     while evaluations < budget:
         sweep_start = best
         for i in range(thetas.shape[0]):
@@ -125,27 +130,23 @@ def _coordinate_ascent(objective, start, budget, tolerance):
             steps *= 0.5
         if np.max(steps) < 1e-7:
             return thetas, best, True
-        if best - sweep_start < tolerance and np.max(steps) < 1e-3:
+        if best - sweep_start < GARCH_TOLERANCE and np.max(steps) < 1e-3:
             return thetas, best, True
     return thetas, best, False
 
 
-def garch_fit(
-    returns,
-    max_evaluations: int = 10_000,
-    tolerance: float = 1e-8,
-) -> GarchParams:
+def garch_fit(returns) -> GarchParams:
     """Maximum-likelihood GARCH(1,1) fit via shrinking coordinate search.
 
     The search cycles through the reparameterized coordinates trying
     +-step moves and halves the steps after a sweep with no accepted
     move, stopping once a cycle improves the likelihood by less than
-    ``tolerance``. Two starts are tried (a low-persistence one, where iid
+    `GARCH_TOLERANCE`. Two starts are tried (a low-persistence one, where iid
     data is identifiable, and a high-persistence one typical of equity
     volatility) and the better likelihood wins; near-exact ties, which
     arise on the flat alpha = 0 ridge of homoskedastic data, resolve to
     the low-persistence solution. Raises `ConvergenceError` with the
-    best-so-far parameters if the evaluation budget runs out.
+    best-so-far parameters if the `GARCH_MAX_EVALUATIONS` budget runs out.
     """
     r = np.asarray(returns, dtype=np.float64)
     if r.shape[0] < 200:
@@ -164,11 +165,11 @@ def garch_fit(
         [math.log(0.96 * variance), math.log(0.02 / 0.96), math.log(0.02 / 0.96)]
     )
     high_start = np.array([math.log(0.05 * variance), 0.0, math.log(8.0)])
-    budget = max_evaluations // 2
+    budget = GARCH_MAX_EVALUATIONS // 2
 
     results = [
-        _coordinate_ascent(objective, low_start, budget, tolerance),
-        _coordinate_ascent(objective, high_start, max_evaluations - budget, tolerance),
+        _coordinate_ascent(objective, low_start, budget),
+        _coordinate_ascent(objective, high_start, GARCH_MAX_EVALUATIONS - budget),
     ]
     (low_pt, low_val, low_ok), (high_pt, high_val, high_ok) = results
     # gaps below one log-likelihood unit are chi-square noise on the flat
@@ -181,7 +182,7 @@ def garch_fit(
     omega, alpha, beta = _unpack(point)
     if not converged:
         raise ConvergenceError(
-            f"garch_fit exhausted {max_evaluations} evaluations without converging",
+            f"garch_fit exhausted {GARCH_MAX_EVALUATIONS} evaluations without converging",
             best=GarchParams(omega, alpha, beta),
         )
     return GarchParams(omega, alpha, beta)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Parameter
-from .errors import CheckpointParseError, CheckpointVersionError, ShapeError
+from .errors import CheckpointParseError, CheckpointVersionError, DomainError, ShapeError
 from .ioutil import atomic_write_bytes
 from .preprocess import PreprocessStats
 from .siggan import SigGanConfig, SigGraphGan, config_from_items, config_to_items
@@ -212,7 +212,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointParseError(f"bad stats value {token!r}", mark) from exc
     try:
         stats = PreprocessStats(**stats_fields)
-    except TypeError as exc:
+    except (TypeError, DomainError) as exc:
         raise CheckpointParseError(f"bad stats line: {exc}", mark) from exc
 
     if reader.line() != "[params]":

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError, SizeError
-from .signature import leadlag_signature_batch, leadlag_window_mean
+from .signature import leadlag_window_mean
 
 HORIZONS = (1, 5, 20, 100)
 
@@ -83,30 +83,6 @@ def emd_1d(xs, ys) -> float:
 def expected_leadlag_signature(series, points: int, degree: int = 5) -> np.ndarray:
     """Mean flat lead-lag signature over all windows of ``points`` values of a 1-D series."""
     return leadlag_window_mean(series, points, degree)
-
-
-def sig_rmse(real_windows, fake_windows, k: int = 1, degree: int = 5) -> float:
-    """RMSE between expected signatures of k-day aggregated window sets.
-
-    Each window is aggregated to its k-day cumulative returns (so windows
-    must be longer than k), lead-lag embedded, and signed to ``degree``;
-    the two sample means are compared coefficient-wise.
-    """
-    real = np.atleast_2d(np.asarray(real_windows, dtype=np.float64))
-    fake = np.atleast_2d(np.asarray(fake_windows, dtype=np.float64))
-    if real.shape[0] == 0 or fake.shape[0] == 0:
-        raise SizeError("sig_rmse needs nonempty window sets")
-    for name, arr in (("real", real), ("fake", fake)):
-        if arr.shape[1] < k + 1:
-            raise SizeError(
-                f"{name} windows of length {arr.shape[1]} are too short for "
-                f"horizon {k} (need >= {k + 1})"
-            )
-    agg_real = np.stack([k_day_aggregate(w, k) for w in real])
-    agg_fake = np.stack([k_day_aggregate(w, k) for w in fake])
-    mean_real = leadlag_signature_batch(agg_real, degree).mean(axis=0)
-    mean_fake = leadlag_signature_batch(agg_fake, degree).mean(axis=0)
-    return float(np.sqrt(np.mean((mean_real - mean_fake) ** 2)))
 
 
 def leverage_profile(returns, tau_max: int = 10) -> np.ndarray:

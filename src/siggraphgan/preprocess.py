@@ -2,9 +2,10 @@
 
 Raw closing prices become log returns, the returns are normalized to zero
 mean and unit (population) variance, and the normalized returns are pushed
-through a tail-shrinking transform based on the principal Lambert W branch.
-Every step records what it needs to be undone, so generated data can be
-mapped back to the log-return scale.
+through a tail-shrinking transform based on the principal Lambert W branch
+(Goerg, "The Lambert Way to Gaussianize Heavy-Tailed Data", 2015).
+`fit_stats` records the mean, std and tail weight in one `PreprocessStats`,
+which is all `transform_with_stats` and `invert_pipeline` need.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import csv
 import datetime
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +31,11 @@ from .errors import (
 DELTA_IDENTITY_CUTOFF = 1e-8
 
 DELTA_MAX = 5.0
+
+# fit_delta stops once the gaussianized sample's excess kurtosis lies
+# within this of zero, or after this many trial deltas.
+FIT_DELTA_TOLERANCE = 0.01
+FIT_DELTA_MAX_ITERATIONS = 200
 
 
 @dataclass
@@ -63,87 +69,43 @@ class PriceSeries:
 
 @dataclass
 class ReturnSeries:
-    """Log returns, optionally carrying the statistics used to normalize them.
-
-    ``source_mean`` and ``source_std`` are set by :func:`normalize` and are
-    required to invert the normalization later.
-    """
+    """Log returns of a price series."""
 
     values: np.ndarray
-    source_mean: float | None = None
-    source_std: float | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1:
             raise DataError("return series must be one-dimensional")
-        if self.source_std is not None and not self.source_std > 0:
-            raise DomainError("source_std must be positive")
 
     def __len__(self):
         return self.values.shape[0]
 
 
 @dataclass(frozen=True)
-class LambertParams:
-    """Tail parameters of the gaussianization transform.
+class PreprocessStats:
+    """Everything needed to apply or invert the pipeline on other data.
 
-    ``delta`` is the tail weight; zero means the transform is the identity.
-    ``mu`` and ``sigma`` record location/scale of the sample the fit saw.
+    ``mean`` and ``std`` are the sample mean and population standard
+    deviation of the log returns the pipeline was fitted on; ``delta`` is
+    the tail weight of the gaussianization, zero meaning the identity.
     """
 
+    mean: float
+    std: float
     delta: float
-    mu: float = 0.0
-    sigma: float = 1.0
 
     def __post_init__(self):
+        if not self.std > 0.0:
+            raise DomainError(f"std must be positive, got {self.std}")
         if not self.delta >= 0.0:
             raise DomainError(f"delta must be nonnegative, got {self.delta}")
-        if not self.sigma > 0.0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """Sliding-window geometry: window length and stride."""
-
-    length: int
-    stride: int = 1
-
-    def __post_init__(self):
-        if self.length < 2:
-            raise SizeError(f"window length must be >= 2, got {self.length}")
-        if self.stride < 1:
-            raise SizeError(f"window stride must be >= 1, got {self.stride}")
 
 
 def log_returns(prices: PriceSeries) -> ReturnSeries:
     """Log return of each consecutive close pair: ln(c[i+1]) - ln(c[i])."""
     closes = prices.closes
     return ReturnSeries(np.diff(np.log(closes)))
-
-
-def normalize(returns: ReturnSeries) -> ReturnSeries:
-    """Center and scale to zero mean and unit population variance.
-
-    The sample mean and population standard deviation are stored on the
-    result so the transform can be inverted exactly.
-    """
-    values = returns.values
-    if values.shape[0] < 2:
-        raise SizeError("normalization needs at least 2 returns")
-    mean = float(np.mean(values))
-    std = float(np.std(values))  # population (1/n) convention
-    if std == 0.0:
-        raise DegenerateInputError("return series has zero variance")
-    return ReturnSeries((values - mean) / std, source_mean=mean, source_std=std)
-
-
-def denormalize(values: np.ndarray, source_mean: float, source_std: float) -> np.ndarray:
-    """Invert :func:`normalize` with the recorded statistics."""
-    if not source_std > 0:
-        raise DomainError("source_std must be positive")
-    return np.asarray(values, dtype=np.float64) * source_std + source_mean
 
 
 _INV_E = math.exp(-1.0)
@@ -157,11 +119,10 @@ def lambert_w0(x):
     residual test (possible only near the branch point) fall back to a
     guaranteed bisection.
 
-    Accepts a scalar or an array; scalars come back as floats.
+    Accepts a scalar or an array of any shape, and returns an array.
     """
     arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).astype(np.float64).ravel()
+    flat = arr.reshape(-1)
     if np.any(flat < -_INV_E):
         bad = float(flat[flat < -_INV_E][0])
         raise DomainError(f"lambert_w0 undefined for x = {bad} < -1/e")
@@ -183,8 +144,6 @@ def lambert_w0(x):
     if np.any(bad_mask):
         for i in np.flatnonzero(bad_mask):
             w[i] = _lambert_w0_bisect(float(flat[i]))
-    if scalar:
-        return float(w[0])
     return w.reshape(arr.shape)
 
 
@@ -201,35 +160,31 @@ def _lambert_w0_bisect(x: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def gaussianize(z, params: LambertParams):
+def gaussianize(z, delta: float) -> np.ndarray:
     """Shrink heavy tails: u = sgn(z) * sqrt(W(delta z^2) / delta).
 
     For delta below the identity cutoff the input is returned unchanged.
     Works elementwise on arrays.
     """
-    delta = params.delta
     arr = np.asarray(z, dtype=np.float64)
     if delta <= DELTA_IDENTITY_CUTOFF:
-        return float(arr) if arr.ndim == 0 else arr.copy()
+        return arr.copy()
     w = lambert_w0(delta * arr * arr)
-    out = np.sign(arr) * np.sqrt(np.asarray(w) / delta)
-    return float(out) if arr.ndim == 0 else out
+    return np.sign(arr) * np.sqrt(w / delta)
 
 
-def degaussianize(u, params: LambertParams):
+def degaussianize(u, delta: float) -> np.ndarray:
     """Restore heavy tails: z = u * exp(delta * u^2 / 2); inverse of gaussianize."""
-    delta = params.delta
     arr = np.asarray(u, dtype=np.float64)
     if delta <= DELTA_IDENTITY_CUTOFF:
-        return float(arr) if arr.ndim == 0 else arr.copy()
+        return arr.copy()
     exponent = 0.5 * delta * arr * arr
     if np.any(exponent > 700.0):
-        worst = float(np.atleast_1d(arr)[np.argmax(np.atleast_1d(exponent))])
+        worst = float(arr.flat[np.argmax(exponent)])
         raise SaturationError(
             f"degaussianize overflow: u = {worst}, delta = {delta}"
         )
-    out = arr * np.exp(exponent)
-    return float(out) if arr.ndim == 0 else out
+    return arr * np.exp(exponent)
 
 
 def excess_kurtosis(values: np.ndarray) -> float:
@@ -243,86 +198,89 @@ def excess_kurtosis(values: np.ndarray) -> float:
     return m4 / (m2 * m2) - 3.0
 
 
-def fit_delta(samples, max_iterations: int = 200, tolerance: float = 0.01) -> LambertParams:
+def fit_delta(samples) -> float:
     """Estimate the tail weight by matching the excess kurtosis to zero.
 
     Repeatedly gaussianizes the sample with a trial delta and moves delta
     by a bounded bracketing step until the transformed sample's excess
-    kurtosis sits within ``tolerance`` of zero, the iteration budget runs
-    out, or delta hits its [0, 5] clamp. Light-tailed samples (excess
-    kurtosis already <= 0) get delta = 0.
+    kurtosis sits within `FIT_DELTA_TOLERANCE` of zero, the iteration
+    budget runs out, or delta hits its [0, 5] clamp. Light-tailed samples
+    (excess kurtosis already <= 0) get delta = 0.
     """
     arr = np.asarray(samples, dtype=np.float64)
     if arr.shape[0] < 100:
         raise SizeError(f"fit_delta needs >= 100 samples, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):
         raise DomainError("fit_delta requires finite samples")
-
-    mu = float(np.mean(arr))
-    sigma = float(np.std(arr))
-    if sigma == 0.0:
+    if float(np.std(arr)) == 0.0:
         raise DegenerateInputError("fit_delta requires a non-constant sample")
 
     def kurt_at(delta: float) -> float:
-        return excess_kurtosis(gaussianize(arr, LambertParams(delta, mu, sigma)))
+        return excess_kurtosis(gaussianize(arr, delta))
 
     iterations = 0
 
     k0 = kurt_at(0.0)
     iterations += 1
-    if k0 <= tolerance:
-        return LambertParams(0.0, mu, sigma)
+    if k0 <= FIT_DELTA_TOLERANCE:
+        return 0.0
 
     # Expand the upper bracket until the kurtosis overshoots zero.
-    lo, k_lo = 0.0, k0
+    lo = 0.0
     hi = 0.25
-    while iterations < max_iterations:
+    while iterations < FIT_DELTA_MAX_ITERATIONS:
         k_hi = kurt_at(hi)
         iterations += 1
-        if abs(k_hi) <= tolerance:
-            return LambertParams(hi, mu, sigma)
+        if abs(k_hi) <= FIT_DELTA_TOLERANCE:
+            return hi
         if k_hi < 0.0:
             break
-        lo, k_lo = hi, k_hi
+        lo = hi
         if hi >= DELTA_MAX:
-            return LambertParams(DELTA_MAX, mu, sigma)
+            return DELTA_MAX
         hi = min(2.0 * hi, DELTA_MAX)
     else:
-        return LambertParams(hi, mu, sigma)
+        return hi
 
     # Bisect the bracket; each halving is a bounded step toward zero kurtosis.
-    while iterations < max_iterations:
+    while iterations < FIT_DELTA_MAX_ITERATIONS:
         mid = 0.5 * (lo + hi)
         k_mid = kurt_at(mid)
         iterations += 1
-        if abs(k_mid) <= tolerance or (hi - lo) < 1e-12:
-            return LambertParams(mid, mu, sigma)
+        if abs(k_mid) <= FIT_DELTA_TOLERANCE or (hi - lo) < 1e-12:
+            return mid
         if k_mid > 0.0:
             lo = mid
         else:
             hi = mid
-    return LambertParams(0.5 * (lo + hi), mu, sigma)
+    return 0.5 * (lo + hi)
 
 
-def windows(returns: ReturnSeries | np.ndarray, spec: WindowSpec) -> np.ndarray:
-    """Sliding windows, oldest first, as a (num_windows, length) array."""
-    values = returns.values if isinstance(returns, ReturnSeries) else np.asarray(returns)
-    n = values.shape[0]
-    if n < spec.length:
-        raise SizeError(
-            f"series of length {n} is shorter than window length {spec.length}"
-        )
-    starts = range(0, n - spec.length + 1, spec.stride)
-    return np.stack([values[s : s + spec.length] for s in starts])
+def fit_stats(raw_log_returns) -> PreprocessStats:
+    """Fit the pipeline to log returns.
+
+    Records their mean and population standard deviation, and the tail
+    weight `fit_delta` finds for the returns normalized by those two.
+    """
+    values = np.asarray(raw_log_returns, dtype=np.float64)
+    if values.shape[0] < 2:
+        raise SizeError("normalization needs at least 2 returns")
+    mean = float(np.mean(values))
+    std = float(np.std(values))  # population (1/n) convention
+    if std == 0.0:
+        raise DegenerateInputError("return series has zero variance")
+    return PreprocessStats(mean, std, fit_delta((values - mean) / std))
 
 
-@dataclass(frozen=True)
-class PreprocessStats:
-    """Everything needed to invert the full pipeline on generated data."""
+def transform_with_stats(raw_log_returns: np.ndarray, stats: PreprocessStats) -> np.ndarray:
+    """Apply the recorded normalization and gaussianization to log returns."""
+    normalized = (np.asarray(raw_log_returns, dtype=np.float64) - stats.mean) / stats.std
+    return gaussianize(normalized, stats.delta)
 
-    mean: float
-    std: float
-    delta: float
+
+def invert_pipeline(generated: np.ndarray, stats: PreprocessStats) -> np.ndarray:
+    """Map generated data back to log returns: degaussianize, then denormalize."""
+    return degaussianize(generated, stats.delta) * stats.std + stats.mean
 
 
 def prepare_training_returns(prices: PriceSeries) -> tuple[np.ndarray, PreprocessStats]:
@@ -331,27 +289,9 @@ def prepare_training_returns(prices: PriceSeries) -> tuple[np.ndarray, Preproces
     Returns the gaussianized normalized returns together with the recorded
     inversion statistics.
     """
-    normalized = normalize(log_returns(prices))
-    params = fit_delta(normalized.values)
-    gaussianized = gaussianize(normalized.values, params)
-    stats = PreprocessStats(
-        mean=normalized.source_mean, std=normalized.source_std, delta=params.delta
-    )
-    return gaussianized, stats
-
-
-def invert_pipeline(generated: np.ndarray, stats: PreprocessStats) -> np.ndarray:
-    """Map generated data back to log returns: degaussianize, then denormalize."""
-    heavy = degaussianize(generated, LambertParams(stats.delta))
-    return denormalize(heavy, stats.mean, stats.std)
-
-
-def transform_with_stats(raw_log_returns: np.ndarray, stats: PreprocessStats) -> np.ndarray:
-    """Apply the recorded normalization and gaussianization to new returns."""
-    if not stats.std > 0:
-        raise DomainError("stats.std must be positive")
-    normalized = (np.asarray(raw_log_returns, dtype=np.float64) - stats.mean) / stats.std
-    return gaussianize(normalized, LambertParams(stats.delta))
+    raw = log_returns(prices).values
+    stats = fit_stats(raw)
+    return transform_with_stats(raw, stats), stats
 
 
 def load_price_csv(path) -> PriceSeries:

@@ -29,7 +29,7 @@ from . import layers as ly
 from .autodiff import Tensor
 from .errors import ConfigError, NumericError, ShapeError, SizeError
 from .optim import RmsProp
-from .preprocess import PreprocessStats, WindowSpec, invert_pipeline, transform_with_stats, windows
+from .preprocess import PreprocessStats, invert_pipeline, transform_with_stats
 from .signature import _leadlag_forward, _leadlag_vjp, sig_length
 from .visibility import VisibilityGraph, natural_visibility
 
@@ -49,6 +49,16 @@ DISC_TRUST_RADIUS = 0.01
 
 LOSS_KINDS = ("mse", "kld")
 GRAPH_DIRECTIONS = ("undirected", "left_to_right")
+
+# Config changes that remove one architectural component, for ablations
+_ABLATIONS = {
+    "geometric": {"disable_geometric": True},
+    "recurrent": {"disable_recurrent": True},
+    "feedforward": {"disable_feedforward": True},
+    "skip": {"skip_layer": False},
+    "dropout": {"disable_dropout": True},
+}
+ABLATION_COMPONENTS = tuple(_ABLATIONS)
 
 # Tuned defaults per loss kind: batch size, learning rate, (gnn, geometric
 # lstm, recurrent lstm) widths, (gnn, recurrent lstm) depths, dropout.
@@ -150,19 +160,12 @@ class SigGanConfig:
 
     def ablated(self, component: str) -> "SigGanConfig":
         """Copy of this config with one architectural component removed."""
-        mapping = {
-            "geometric": {"disable_geometric": True},
-            "recurrent": {"disable_recurrent": True},
-            "feedforward": {"disable_feedforward": True},
-            "skip": {"skip_layer": False},
-            "dropout": {"disable_dropout": True},
-        }
-        if component not in mapping:
+        if component not in _ABLATIONS:
             raise ConfigError(
                 f"unknown ablation component {component!r}; "
-                f"expected one of {sorted(mapping)}"
+                f"expected one of {ABLATION_COMPONENTS}"
             )
-        cfg = replace(self, **mapping[component])
+        cfg = replace(self, **_ABLATIONS[component])
         cfg.validate()
         return cfg
 
@@ -512,7 +515,7 @@ def train(returns, cfg: SigGanConfig, stats: PreprocessStats | None = None) -> T
     if stats is None:
         stats = PreprocessStats(mean=0.0, std=1.0, delta=0.0)
 
-    window_values = windows(values, WindowSpec(cfg.seq_len, 1))
+    window_values = np.lib.stride_tricks.sliding_window_view(values, cfg.seq_len)
     graph = series_graph(values, cfg)
     n_windows = window_values.shape[0]
 
@@ -594,10 +597,11 @@ def generate(
     each chunk writes only its own rows. No chunk has a single row unless
     one sample is drawn, and every row of a product with two or more rows
     comes out the same whatever the other rows are, so each output equals
-    one unchunked forward over all samples: it does not depend on the
-    number of cores or threads, and the first m >= 2 samples do not depend
-    on how many more are drawn. A chunk's error, such as `NumericError`,
-    is raised to the caller.
+    one unchunked forward over all samples: at a fixed OpenBLAS thread
+    count it does not depend on the number of cores or worker threads,
+    and the first m >= 2 samples do not depend on how many more are
+    drawn. A chunk's error, such as `NumericError`, is raised to the
+    caller.
 
     Returns an (n_samples, seq_len) array of log returns.
     """

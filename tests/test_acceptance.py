@@ -72,12 +72,8 @@ def run_smoke_training():
     train_returns = all_returns[:split]
     held_out = all_returns[split:]
 
-    normalized = pp.normalize(pp.ReturnSeries(train_returns))
-    params = pp.fit_delta(normalized.values)
-    gaussianized = pp.gaussianize(normalized.values, params)
-    stats = pp.PreprocessStats(
-        normalized.source_mean, normalized.source_std, params.delta
-    )
+    stats = pp.fit_stats(train_returns)
+    gaussianized = pp.transform_with_stats(train_returns, stats)
     result = train(gaussianized, smoke_config(), stats)
     return result, train_returns, held_out, gaussianized, stats
 
@@ -300,20 +296,16 @@ def test_criterion_5_baseline_recovery():
 
 def test_criterion_6_preprocessing_round_trip():
     rng = np.random.default_rng(1006)
-    raw = pp.degaussianize(rng.standard_normal(3000), pp.LambertParams(0.2))
+    raw = pp.degaussianize(rng.standard_normal(3000), 0.2)
     raw = raw * 0.012 + 0.0003
-    normalized = pp.normalize(pp.ReturnSeries(raw))
-    params = pp.fit_delta(normalized.values)
-    gaussianized = pp.gaussianize(normalized.values, params)
-    stats = pp.PreprocessStats(
-        normalized.source_mean, normalized.source_std, params.delta
-    )
+    stats = pp.fit_stats(raw)
+    gaussianized = pp.transform_with_stats(raw, stats)
     back = pp.invert_pipeline(gaussianized, stats)
     worst = float(np.max(np.abs(back - raw)))
     assert worst <= 1e-9
 
-    heavy = pp.degaussianize(rng.standard_normal(10_000), pp.LambertParams(0.3))
-    recovered = pp.fit_delta(heavy).delta
+    heavy = pp.degaussianize(rng.standard_normal(10_000), 0.3)
+    recovered = pp.fit_delta(heavy)
     assert abs(recovered - 0.3) <= 0.1
     report(6, f"pipeline inverse {worst:.2e} <= 1e-9; delta 0.3 recovered as {recovered:.3f}")
 
@@ -325,17 +317,12 @@ def test_criterion_7_smoke_training(smoke_run):
     assert losses[-1] < losses[0], losses
 
     untrained = train(
-        np.asarray(
-            pp.gaussianize(
-                pp.normalize(pp.ReturnSeries(train_returns)).values,
-                pp.LambertParams(result.checkpoint.stats.delta),
-            )
-        ),
+        pp.transform_with_stats(train_returns, result.checkpoint.stats),
         dataclasses.replace(smoke_config(), epochs=0),
         result.checkpoint.stats,
     )
 
-    held_pool = pp.windows(held_out, pp.WindowSpec(20, 1)).ravel()
+    held_pool = np.lib.stride_tricks.sliding_window_view(held_out, 20).ravel()
     trained_windows = generate(result.checkpoint, train_returns, 200, seed=77)
     untrained_windows = generate(untrained.checkpoint, train_returns, 200, seed=77)
     emd_trained = mt.emd_1d(trained_windows.ravel(), held_pool)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from siggraphgan import baselines as bl
-from siggraphgan.errors import DegenerateInputError, DomainError, SizeError
+from siggraphgan.errors import ConvergenceError, DegenerateInputError, DomainError, SizeError
 from siggraphgan.preprocess import PriceSeries
 
 
@@ -56,6 +56,13 @@ class TestGarchFit:
     def test_too_short(self):
         with pytest.raises(SizeError):
             bl.garch_fit(np.random.default_rng(0).standard_normal(100))
+
+    def test_exhausted_budget_reports_best_so_far(self, monkeypatch):
+        monkeypatch.setattr(bl, "GARCH_MAX_EVALUATIONS", 20)
+        returns = np.random.default_rng(3).standard_normal(500)
+        with pytest.raises(ConvergenceError, match="exhausted 20 evaluations") as info:
+            bl.garch_fit(returns)
+        assert isinstance(info.value.best, bl.GarchParams)
 
 
 class TestGarchSimulate:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from siggraphgan import cli
+from siggraphgan.checkpoint import load_checkpoint
+from siggraphgan.errors import CheckpointParseError
 from siggraphgan.fixture import fixture_csv_text
 
 
@@ -189,6 +191,25 @@ class TestGenerate:
                 "--input", str(bad), "--samples", "1", "--out", str(tmp_path / "x.csv")]
         assert cli.main(argv) == 3
         assert "UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("std", "0.0"), ("delta", "-1.0"), ("std", "nan")])
+    def test_invalid_stats_exits_3(self, trained_dir, price_csv, tmp_path, capsys, field, value):
+        """Stats that cannot invert the preprocessing fail the load, at the stats line."""
+        data = (trained_dir / "checkpoint.bin").read_bytes()
+        start = data.index(b"[stats]\n") + len(b"[stats]\n")
+        end = data.index(b"\n", start)
+        stats = dict(token.split("=") for token in data[start:end].decode().split())
+        stats[field] = value
+        line = " ".join(f"{k}={v}" for k, v in stats.items()).encode()
+        bad = tmp_path / "bad_stats.bin"
+        bad.write_bytes(data[:start] + line + data[end:])
+        with pytest.raises(CheckpointParseError) as info:
+            load_checkpoint(bad)
+        assert info.value.offset == start
+        argv = ["generate", "--checkpoint", str(bad), "--input", str(price_csv),
+                "--samples", "1", "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 3
+        assert f"byte offset {start}" in capsys.readouterr().err
 
     def test_version_mismatch_exits_5(self, tmp_path, price_csv):
         bad = tmp_path / "bad.bin"

@@ -83,38 +83,6 @@ class TestEmd:
             assert mt.emd_1d(c * x, c * y) == pytest.approx(abs(c) * base, abs=1e-12)
 
 
-class TestSigRmse:
-    def test_identical_sets(self):
-        rng = np.random.default_rng(6)
-        w = rng.standard_normal((12, 25))
-        assert mt.sig_rmse(w, w.copy(), k=1) == 0.0
-        assert mt.sig_rmse(w, w.copy(), k=5) == 0.0
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(7)
-        real = rng.standard_normal((10, 22))
-        fake = rng.standard_normal((10, 22))
-        base = mt.sig_rmse(real, fake, k=2)
-        shuffled = fake[rng.permutation(10)]
-        assert mt.sig_rmse(real, shuffled, k=2) == pytest.approx(base, abs=1e-14)
-
-    def test_disjoint_halves_within_bootstrap_spread(self):
-        rng = np.random.default_rng(8)
-        windows = 0.01 * rng.standard_normal((400, 24))
-        half = mt.sig_rmse(windows[:200], windows[200:], k=1)
-        spreads = []
-        for _ in range(30):
-            pick = rng.permutation(400)
-            spreads.append(
-                mt.sig_rmse(windows[pick[:200]], windows[pick[200:]], k=1)
-            )
-        assert half <= 3.0 * max(spreads)
-
-    def test_window_too_short_for_horizon(self):
-        with pytest.raises(SizeError):
-            mt.sig_rmse(np.zeros((3, 5)), np.zeros((3, 5)), k=5)
-
-
 class TestLeverageEffect:
     def test_identical_series(self):
         rng = np.random.default_rng(9)

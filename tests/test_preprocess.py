@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 import math
 
@@ -14,6 +15,7 @@ from siggraphgan.errors import (
     SaturationError,
     SizeError,
 )
+from siggraphgan.siggan import SigGanConfig, SigGraphGan, train
 
 
 def make_prices(closes):
@@ -47,27 +49,43 @@ class TestLogReturns:
 
 
 class TestNormalize:
+    """The normalization `fit_stats` records; a light-tailed sample gets
+    delta = 0, so `transform_with_stats` returns the normalized values."""
+
     def test_centering(self):
-        out = pp.normalize(pp.ReturnSeries(np.array([0.0, 0.0, 2.0])))
-        assert out.source_mean == pytest.approx(2.0 / 3.0)
-        assert np.sum(out.values) == pytest.approx(0.0, abs=1e-12)
+        values = np.tile([0.0, 0.0, 2.0], 40)
+        stats = pp.fit_stats(values)
+        assert stats.mean == pytest.approx(2.0 / 3.0)
+        assert stats.delta == 0.0
+        assert np.sum(pp.transform_with_stats(values, stats)) == pytest.approx(0.0, abs=1e-12)
 
     def test_idempotent_on_fixed_point(self):
         rng = np.random.default_rng(1)
         v = rng.standard_normal(500)
         v = (v - v.mean()) / v.std()
-        out = pp.normalize(pp.ReturnSeries(v))
-        assert np.max(np.abs(out.values - v)) <= 1e-12
+        stats = dataclasses.replace(pp.fit_stats(v), delta=0.0)
+        assert np.max(np.abs(pp.transform_with_stats(v, stats) - v)) <= 1e-12
 
     def test_population_std(self):
-        out = pp.normalize(pp.ReturnSeries(np.array([1.0, 2.0, 3.0])))
-        expected = np.array([-1.0, 0.0, 1.0]) / math.sqrt(2.0 / 3.0)
-        assert out.values == pytest.approx(expected, abs=1e-4)
-        assert out.source_std == pytest.approx(math.sqrt(2.0 / 3.0))
+        values = np.tile([1.0, 2.0, 3.0], 40)
+        stats = pp.fit_stats(values)
+        expected = np.tile([-1.0, 0.0, 1.0], 40) / math.sqrt(2.0 / 3.0)
+        assert stats.delta == 0.0
+        assert pp.transform_with_stats(values, stats) == pytest.approx(expected, abs=1e-4)
+        assert stats.std == pytest.approx(math.sqrt(2.0 / 3.0))
 
     def test_zero_variance_rejected(self):
         with pytest.raises(DegenerateInputError):
-            pp.normalize(pp.ReturnSeries(np.full(10, 0.25)))
+            pp.fit_stats(np.full(10, 0.25))
+
+
+class TestPreprocessStats:
+    @pytest.mark.parametrize(
+        "std,delta", [(0.0, 0.1), (-1.0, 0.1), (math.nan, 0.1), (1.0, -1.0), (1.0, math.nan)]
+    )
+    def test_invalid_fields_rejected(self, std, delta):
+        with pytest.raises(DomainError):
+            pp.PreprocessStats(mean=0.0, std=std, delta=delta)
 
 
 class TestLambertW:
@@ -111,50 +129,44 @@ class TestLambertW:
 class TestGaussianization:
     def test_zero_maps_to_zero(self):
         for delta in (0.0, 0.3, 2.0):
-            assert pp.gaussianize(0.0, pp.LambertParams(delta)) == 0.0
+            assert pp.gaussianize(0.0, delta) == 0.0
 
     def test_identity_branch(self):
-        assert pp.degaussianize(1.7, pp.LambertParams(0.0)) == 1.7
-        assert pp.gaussianize(1.7, pp.LambertParams(0.0)) == 1.7
+        assert pp.degaussianize(1.7, 0.0) == 1.7
+        assert pp.gaussianize(1.7, 0.0) == 1.7
 
     def test_round_trip(self):
         zs = np.arange(-3.0, 3.5, 0.5)
         for delta in (0.1, 0.5, 1.0):
-            params = pp.LambertParams(delta)
-            back = pp.gaussianize(pp.degaussianize(zs, params), params)
+            back = pp.gaussianize(pp.degaussianize(zs, delta), delta)
             assert np.max(np.abs(back - zs)) <= 1e-9
 
     def test_heavy_tail_formula(self):
-        assert pp.degaussianize(1.0, pp.LambertParams(0.2)) == pytest.approx(
-            math.exp(0.1), abs=1e-14
-        )
+        assert pp.degaussianize(1.0, 0.2) == pytest.approx(math.exp(0.1), abs=1e-14)
 
     def test_oddness(self):
-        params = pp.LambertParams(0.4)
         zs = np.linspace(0.1, 4.0, 25)
-        assert pp.gaussianize(-zs, params) == pytest.approx(-pp.gaussianize(zs, params))
-        assert pp.degaussianize(-zs, params) == pytest.approx(
-            -pp.degaussianize(zs, params)
-        )
+        assert pp.gaussianize(-zs, 0.4) == pytest.approx(-pp.gaussianize(zs, 0.4))
+        assert pp.degaussianize(-zs, 0.4) == pytest.approx(-pp.degaussianize(zs, 0.4))
 
     def test_overflow_reports_inputs(self):
         with pytest.raises(SaturationError, match="delta"):
-            pp.degaussianize(60.0, pp.LambertParams(1.0))
+            pp.degaussianize(60.0, 1.0)
 
 
 class TestFitDelta:
     def test_standard_normal_sample(self):
         sample = np.random.default_rng(42).standard_normal(10_000)
-        assert pp.fit_delta(sample).delta <= 0.05
+        assert pp.fit_delta(sample) <= 0.05
 
     def test_recovers_injected_tail_weight(self):
         rng = np.random.default_rng(7)
-        heavy = pp.degaussianize(rng.standard_normal(10_000), pp.LambertParams(0.3))
-        assert 0.2 <= pp.fit_delta(heavy).delta <= 0.4
+        heavy = pp.degaussianize(rng.standard_normal(10_000), 0.3)
+        assert 0.2 <= pp.fit_delta(heavy) <= 0.4
 
     def test_light_tails_clamp_to_zero(self):
         sample = np.random.default_rng(5).uniform(-1.0, 1.0, 5000)
-        assert pp.fit_delta(sample).delta == 0.0
+        assert pp.fit_delta(sample) == 0.0
 
     def test_too_short(self):
         with pytest.raises(SizeError):
@@ -168,35 +180,55 @@ class TestFitDelta:
 
 
 class TestWindows:
+    """The sliding windows `train` draws its real batches from: stride 1,
+    oldest first, each drawn once per epoch at batch size 1."""
+
+    @staticmethod
+    def drawn_windows(monkeypatch, values, length, batch_size=1):
+        drawn = []
+        forward = SigGraphGan.discriminator_forward
+
+        def recording_forward(model, x, *args, **kwargs):
+            drawn.append(x[:, :, 0].copy())
+            return forward(model, x, *args, **kwargs)
+
+        monkeypatch.setattr(SigGraphGan, "discriminator_forward", recording_forward)
+        cfg = SigGanConfig.for_loss(
+            "mse", seq_len=length, batch_size=batch_size, epochs=1, gnn_neurons=4,
+            geo_lstm_neurons=4, rec_lstm_neurons=4, gnn_layers=1, rec_lstm_layers=1,
+        )
+        train(values, cfg)
+        # the critic's step and the generator's step each see the batch once
+        assert all(np.array_equal(a, b) for a, b in zip(drawn[::2], drawn[1::2]))
+        rows = np.concatenate(drawn[::2])
+        return rows[np.lexsort(rows.T[::-1])]
+
     @pytest.mark.parametrize(
-        "n,length,stride,expected",
-        [(5, 5, 1, 1), (7, 5, 1, 3), (100, 100, 1, 1), (10, 4, 2, 4)],
+        "n,length,batch_size,expected",
+        [(5, 5, 1, 1), (7, 5, 1, 3), (100, 100, 1, 1)],
     )
-    def test_counts(self, n, length, stride, expected):
+    def test_counts(self, monkeypatch, n, length, batch_size, expected):
         values = np.arange(float(n))
-        out = pp.windows(pp.ReturnSeries(values), pp.WindowSpec(length, stride))
+        out = self.drawn_windows(monkeypatch, values, length, batch_size)
         assert out.shape == (expected, length)
 
-    def test_window_contents(self):
-        out = pp.windows(pp.ReturnSeries(np.arange(6.0)), pp.WindowSpec(3, 2))
-        assert out.tolist() == [[0, 1, 2], [2, 3, 4]]
+    def test_window_contents(self, monkeypatch):
+        out = self.drawn_windows(monkeypatch, np.arange(6.0), 3)
+        assert out.tolist() == [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5]]
 
     def test_too_short(self):
+        cfg = SigGanConfig.for_loss("mse", seq_len=4, batch_size=1)
         with pytest.raises(SizeError):
-            pp.windows(pp.ReturnSeries(np.arange(3.0)), pp.WindowSpec(4))
+            train(np.arange(3.0), cfg)
 
 
 class TestFullPipeline:
     def test_round_trip_identity(self):
         rng = np.random.default_rng(11)
-        returns = pp.degaussianize(rng.standard_normal(2000), pp.LambertParams(0.25))
+        returns = pp.degaussianize(rng.standard_normal(2000), 0.25)
         returns = returns * 0.01 + 0.0002
-        normalized = pp.normalize(pp.ReturnSeries(returns))
-        params = pp.fit_delta(normalized.values)
-        gauss = pp.gaussianize(normalized.values, params)
-        stats = pp.PreprocessStats(
-            normalized.source_mean, normalized.source_std, params.delta
-        )
+        stats = pp.fit_stats(returns)
+        gauss = pp.transform_with_stats(returns, stats)
         back = pp.invert_pipeline(gauss, stats)
         assert np.max(np.abs(back - returns)) <= 1e-9
 
