@@ -5,10 +5,12 @@ push gradients back to its parents. Graphs are built implicitly by the op
 functions below and discarded after `backward`. Every op validates that
 its output is finite and raises `NumericError` otherwise.
 
-Only what the model needs is implemented: elementwise arithmetic,
-(batched) matmul and the fused affine map, shape plumbing, a few
-nonlinearities, dropout and softmax. Gradients for broadcast operands are
-reduced back to the operand shape.
+Only the ops the networks run are implemented: addition, (batched)
+matmul and the fused affine map, concatenation, tanh, PReLU and dropout.
+Gradients for broadcast operands are reduced back to the operand shape.
+Larger pieces are single nodes with hand-written adjoints, made with
+`from_op`: each LSTM layer (`layers`), and the signature losses, whose
+lead-lag paths, signatures and comparison are three nodes (`siggan`).
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = ()
         self._op = op
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def item(self) -> float:
         return float(self.value)
@@ -73,34 +71,6 @@ class Tensor:
                     parent.grad = contrib.copy()
                 else:
                     parent.grad = parent.grad + contrib
-
-    # -- operator sugar ----------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, op={self._op!r})"
@@ -184,35 +154,6 @@ def add(a, b) -> Tensor:
     )
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return from_op(
-        a.value - b.value,
-        [
-            (a, lambda g: _unbroadcast(g, a.value.shape)),
-            (b, lambda g: _unbroadcast(-g, b.value.shape)),
-        ],
-        "sub",
-    )
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return from_op(
-        a.value * b.value,
-        [
-            (a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
-            (b, lambda g: _unbroadcast(g * a.value, b.value.shape)),
-        ],
-        "mul",
-    )
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return from_op(-a.value, [(a, lambda g: -g)], "neg")
-
-
 def _matmul_parents(a: Tensor, b: Tensor):
     """Checked (parent, vjp) pairs of the product ``a.value @ b.value``."""
     if a.value.ndim < 2 or b.value.ndim < 2:
@@ -252,45 +193,7 @@ def affine(x, w, b) -> Tensor:
     return from_op(value, parents + [(b, lambda g: _unbroadcast(g, b.value.shape))], "affine")
 
 
-# -- reductions and shape plumbing ------------------------------------------
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    value = a.value.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, a.value.shape).copy()
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, a.value.shape).copy()
-
-    return from_op(value, [(a, vjp)], "sum")
-
-
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    count = a.value.size if axis is None else a.value.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    return from_op(
-        a.value.reshape(shape), [(a, lambda g: g.reshape(a.value.shape))], "reshape"
-    )
-
-
-def getitem(a, key) -> Tensor:
-    """Basic slicing only; every element may be selected at most once."""
-    a = as_tensor(a)
-
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        out[key] = g
-        return out
-
-    return from_op(a.value[key], [(a, vjp)], "getitem")
+# -- concatenation and nonlinearities ---------------------------------------
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -308,18 +211,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
         return vjp
 
     return from_op(value, [(t, make_vjp(i)) for i, t in enumerate(tensors)], "concat")
-
-
-def cumsum(a, axis: int) -> Tensor:
-    a = as_tensor(a)
-
-    def vjp(g):
-        return np.flip(np.cumsum(np.flip(g, axis=axis), axis=axis), axis=axis)
-
-    return from_op(np.cumsum(a.value, axis=axis), [(a, vjp)], "cumsum")
-
-
-# -- nonlinearities ----------------------------------------------------------
 
 
 def tanh(a) -> Tensor:
@@ -350,31 +241,3 @@ def dropout(a, rate: float, training: bool, rng: np.random.Generator | None = No
         raise ConfigError("training-mode dropout needs an rng")
     keep = (rng.random(a.value.shape) >= rate) / (1.0 - rate)
     return from_op(a.value * keep, [(a, lambda g: g * keep)], "dropout")
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    a = as_tensor(a)
-    shifted = a.value - a.value.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        return (g - inner) * y
-
-    return from_op(y, [(a, vjp)], "softmax")
-
-
-def log_softmax(a, axis: int = -1) -> Tensor:
-    """log(softmax(a)); stays finite even where softmax underflows to 0."""
-    a = as_tensor(a)
-    shifted = a.value - a.value.max(axis=axis, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    y = shifted - log_norm
-    p = np.exp(y)
-
-    def vjp(g):
-        return g - p * g.sum(axis=axis, keepdims=True)
-
-    return from_op(y, [(a, vjp)], "log_softmax")

@@ -293,9 +293,9 @@ def cmd_baseline(args) -> int:
     if run.baseline == "garch":
         returns = log_returns(prices).values
         params = garch_fit(returns)
-        samples = np.stack(
+        samples = np.array(
             [garch_simulate(params, seq_len, rng) for _ in range(run.n_samples)]
-        )
+        ).reshape(run.n_samples, seq_len)
     else:
         params = gbm_fit(prices)
         paths = gbm_simulate(params, seq_len, max(run.n_samples, 1), rng)

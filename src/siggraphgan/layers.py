@@ -1,9 +1,11 @@
 """Network layers for the generator/discriminator blocks.
 
-Everything is built from the autodiff primitives, except the LSTM: one
-op per layer, input projection and recurrence, whose hand-coded adjoint
-backpropagates through time. All gradients are pinned by the finite-difference suite.
-Layers operate on batched inputs shaped (batch, time, features).
+Dense and graph-convolution layers are built from the autodiff ops; the
+LSTM is one op per layer, input projection and recurrence, whose
+hand-coded adjoint backpropagates through time. The losses are not
+layers: each signature loss is its own graph node in `siggan`. All
+gradients are pinned by the finite-difference suite. Layers operate on
+batched inputs shaped (batch, time, features).
 """
 
 from __future__ import annotations
@@ -280,15 +282,3 @@ def gcn_apply(h, norm_adjacency, theta) -> Tensor:
     h = ad.as_tensor(h)
     mixed = ad.matmul(Tensor(norm_adjacency), h)
     return ad.tanh(ad.matmul(mixed, theta))
-
-
-# -- losses -------------------------------------------------------------------
-
-
-def mse(a, b) -> Tensor:
-    """Mean squared difference over all elements."""
-    a, b = ad.as_tensor(a), ad.as_tensor(b)
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"mse shapes differ: {a.value.shape} vs {b.value.shape}")
-    d = ad.sub(a, b)
-    return ad.tmean(ad.mul(d, d))

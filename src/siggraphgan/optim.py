@@ -9,6 +9,7 @@ from .errors import NumericError
 
 RHO = 0.9
 EPS = 1e-8
+GRAD_CLIP_NORM = 5.0
 
 
 class RmsProp:
@@ -21,9 +22,9 @@ class RmsProp:
 
     with rho = 0.9 and eps = 1e-8.
 
-    ``maximize=True`` flips the update into an ascent step. When
-    ``clip_norm`` is set, the global gradient norm across all parameters
-    is clipped before the update. When ``trust_radius`` is set, every
+    ``maximize=True`` flips the update into an ascent step. The global
+    gradient norm across all parameters is clipped at `GRAD_CLIP_NORM`
+    before the update. When ``trust_radius`` is set, every
     update is projected back into a box of that radius centered on the
     parameter values seen at optimizer construction; an ascending player
     constrained this way stays inside a compact family instead of
@@ -35,13 +36,11 @@ class RmsProp:
         params: list[Parameter],
         learning_rate: float,
         maximize: bool = False,
-        clip_norm: float | None = None,
         trust_radius: float | None = None,
     ):
         self.params = list(params)
         self.learning_rate = learning_rate
         self.maximize = maximize
-        self.clip_norm = clip_norm
         self.trust_radius = trust_radius
         self.square_avg = {id(p): np.zeros_like(p.value) for p in self.params}
         self.anchors = (
@@ -61,11 +60,10 @@ class RmsProp:
 
     def step(self):
         grads = self._gradients()
-        if self.clip_norm is not None:
-            total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
-            if total > self.clip_norm:
-                scale = self.clip_norm / total
-                grads = [g * scale for g in grads]
+        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        if total > GRAD_CLIP_NORM:
+            scale = GRAD_CLIP_NORM / total
+            grads = [g * scale for g in grads]
         sign = 1.0 if self.maximize else -1.0
         for p, g in zip(self.params, grads):
             v = self.square_avg[id(p)]

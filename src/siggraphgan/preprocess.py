@@ -96,10 +96,12 @@ class PreprocessStats:
     delta: float
 
     def __post_init__(self):
-        if not self.std > 0.0:
-            raise DomainError(f"std must be positive, got {self.std}")
-        if not self.delta >= 0.0:
-            raise DomainError(f"delta must be nonnegative, got {self.delta}")
+        if not math.isfinite(self.mean):
+            raise DomainError(f"mean must be finite, got {self.mean}")
+        if not 0.0 < self.std < math.inf:
+            raise DomainError(f"std must be positive and finite, got {self.std}")
+        if not 0.0 <= self.delta < math.inf:
+            raise DomainError(f"delta must be nonnegative and finite, got {self.delta}")
 
 
 def log_returns(prices: PriceSeries) -> ReturnSeries:

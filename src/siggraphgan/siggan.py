@@ -11,15 +11,18 @@ transform of the real window in signature space: lead-lag embed, truncate
 the signature at the configured degree, and penalize either the mean
 squared coefficient gap or the KL divergence of softmax-normalized
 coefficients, each evaluated on both the raw window and its running sum.
-The discriminator ascends this loss while the generator descends it,
-alternating one step each per batch under RMSProp.
+A loss is three graph nodes with hand-written adjoints: the stacked
+windows and running sums, their signatures, and the comparison of the
+batch-mean signatures, done by a plain-numpy function that returns its
+value and vjp. The discriminator ascends this loss while the generator
+descends it, alternating one step each per batch under RMSProp.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from itertools import accumulate
 
 import numpy as np
@@ -30,10 +33,8 @@ from .autodiff import Tensor
 from .errors import ConfigError, NumericError, ShapeError, SizeError
 from .optim import RmsProp
 from .preprocess import PreprocessStats, invert_pipeline, transform_with_stats
-from .signature import _leadlag_forward, _leadlag_vjp, sig_length
+from .signature import _leadlag_forward, _leadlag_vjp
 from .visibility import VisibilityGraph, natural_visibility
-
-GRAD_CLIP_NORM = 5.0
 
 # generate() runs at most this many samples per forward pass, and at most
 # this many forward passes at once
@@ -231,72 +232,129 @@ def leadlag_signature_tensor(series: Tensor, degree: int) -> Tensor:
     )
 
 
-def _as_series_batch(t: Tensor) -> Tensor:
-    """Coerce (T,), (T, 1) or (B, T, 1) into a (B, T) series batch."""
-    v = t.value
-    if v.ndim == 1:
-        return ad.reshape(t, (1, v.shape[0]))
-    if v.ndim == 2 and v.shape[1] == 1:
-        return ad.reshape(t, (1, v.shape[0]))
-    if v.ndim == 3 and v.shape[2] == 1:
-        return ad.reshape(t, (v.shape[0], v.shape[1]))
-    raise ShapeError(f"expected a window tensor of shape (T,), (T,1) or (B,T,1), got {v.shape}")
+def _loss_paths(fake: Tensor, real: Tensor) -> Tensor:
+    """The (4B, T) rows a loss signs, as one graph node.
+
+    Rows [0, B) are the (B, T, 1) fake windows, [B, 2B) the real ones, and
+    [2B, 4B) the running sums of each side in the same order. The adjoint
+    hands each side its own rows plus the reversed cumulative sum of its
+    running-sum rows.
+    """
+    if fake.value.shape != real.value.shape:
+        raise ShapeError(
+            f"fake/real shapes differ: {fake.value.shape} vs {real.value.shape}"
+        )
+    if fake.value.ndim != 3 or fake.value.shape[2] != 1:
+        raise ShapeError(f"expected a (B, T, 1) window batch, got {fake.value.shape}")
+    batch, steps, _ = fake.value.shape
+    if steps < 2:
+        raise SizeError("signature losses need windows of length >= 2")
+    f = fake.value.reshape(batch, steps)
+    r = real.value.reshape(batch, steps)
+    value = np.concatenate([f, r, np.cumsum(f, axis=1), np.cumsum(r, axis=1)], axis=0)
+
+    def side_vjp(first):
+        def vjp(g):
+            summed = g[first + 2 * batch : first + 3 * batch]
+            from_sums = np.flip(np.cumsum(np.flip(summed, axis=1), axis=1), axis=1)
+            return (g[first : first + batch] + from_sums).reshape(batch, steps, 1)
+
+        return vjp
+
+    return ad.from_op(value, [(fake, side_vjp(0)), (real, side_vjp(batch))], "loss_paths")
 
 
-def _expected_signatures(fake, real, degree):
-    """Batch-mean signatures of fake/real windows and their running sums.
+def _signature_loss(sigs: Tensor, compare) -> Tensor:
+    """compare() of the expected signatures, plain plus cumulative, as one node.
 
-    A batch is summarized by its expected signature before the two sides
+    ``sigs`` holds the signatures of `_loss_paths`'s four row blocks. A
+    batch is summarized by its expected signature before the two sides
     are compared; matching expected signatures is what identifies equal
     path distributions, and a window batch of one reduces to the plain
-    per-window comparison.
+    per-window comparison. ``compare(fake, real)`` returns the value and
+    its vjp, which maps the upstream gradient to one for each argument.
     """
-    f = _as_series_batch(ad.as_tensor(fake))
-    r = _as_series_batch(ad.as_tensor(real))
-    if f.value.shape != r.value.shape:
-        raise ShapeError(
-            f"fake/real shapes differ: {f.value.shape} vs {r.value.shape}"
-        )
-    if f.value.shape[1] < 2:
-        raise SizeError("signature losses need windows of length >= 2")
-    batch = f.value.shape[0]
-    # one engine pass over fake, real, and both running sums
-    stacked = ad.concat([f, r, ad.cumsum(f, axis=1), ad.cumsum(r, axis=1)], axis=0)
-    sigs = leadlag_signature_tensor(stacked, degree)
-    return (
-        ad.tmean(sigs[0:batch], axis=0),
-        ad.tmean(sigs[batch : 2 * batch], axis=0),
-        ad.tmean(sigs[2 * batch : 3 * batch], axis=0),
-        ad.tmean(sigs[3 * batch :], axis=0),
-    )
+    blocks = np.split(sigs.value, 4)
+    scale = 1.0 / blocks[0].shape[0]
+    sig_f, sig_r, cum_f, cum_r = (block.sum(axis=0) * scale for block in blocks)
+    plain, plain_vjp = compare(sig_f, sig_r)
+    cumulative, cumulative_vjp = compare(cum_f, cum_r)
+
+    def vjp(g):
+        out = np.empty_like(sigs.value)
+        for rows, grad in zip(np.split(out, 4), plain_vjp(g) + cumulative_vjp(g)):
+            rows[...] = grad * scale
+        return out
+
+    return ad.from_op(plain + cumulative, [(sigs, vjp)], "signature_loss")
+
+
+def _mse_gap(a: np.ndarray, b: np.ndarray):
+    """Mean squared gap over all elements, and its vjp."""
+    d = a - b
+    scale = 1.0 / d.size
+
+    def vjp(g):
+        gd = (g * scale) * d
+        twice = gd + gd
+        return twice, -twice
+
+    return (d * d).sum() * scale, vjp
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax along the last axis."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """log(softmax(logits)); stays finite even where softmax underflows to 0."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _softmax_kl(logits_p: np.ndarray, logits_q: np.ndarray):
+    """KL(softmax(p) || softmax(q)) along the last axis, and its vjp.
+
+    Computed in the logit domain: equivalent to sum(p * ln(p / q)) of the
+    two softmaxes but immune to the probability underflow that raw
+    signature coefficients provoke.
+    """
+    p = _softmax(logits_p)
+    log_p, log_q = _log_softmax(logits_p), _log_softmax(logits_q)
+    gap = log_p - log_q
+
+    def vjp(g):
+        g = np.expand_dims(g, -1)
+        g_p, g_log_p = g * gap, g * p
+        g_log_q = -g_log_p
+        from_p = (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * p
+        from_log_p = g_log_p - np.exp(log_p) * g_log_p.sum(axis=-1, keepdims=True)
+        from_log_q = g_log_q - np.exp(log_q) * g_log_q.sum(axis=-1, keepdims=True)
+        return from_p + from_log_p, from_log_q
+
+    return (p * gap).sum(axis=-1), vjp
 
 
 def sig_mse_loss(fake, real, degree: int = 5) -> Tensor:
-    """Mean squared gap between truncated signatures, plain plus cumulative."""
-    sig_f, sig_r, cum_f, cum_r = _expected_signatures(fake, real, degree)
-    return ad.add(ly.mse(sig_f, sig_r), ly.mse(cum_f, cum_r))
+    """Mean squared gap between expected signatures, plain plus cumulative.
 
-
-def _softmax_kl(logits_p: Tensor, logits_q: Tensor) -> Tensor:
-    """KL(softmax(p) || softmax(q)) computed in the logit domain.
-
-    Equivalent to sum(p * ln(p / q)) of the two softmaxes but immune to the
-    probability underflow that raw signature coefficients provoke.
+    ``fake`` and ``real`` are (B, T, 1) window batches of one shape.
     """
-    p = ad.softmax(logits_p, axis=-1)
-    gap = ad.sub(ad.log_softmax(logits_p, axis=-1), ad.log_softmax(logits_q, axis=-1))
-    per_row = ad.tsum(ad.mul(p, gap), axis=-1)
-    return per_row if per_row.value.ndim == 0 else ad.tmean(per_row)
+    paths = _loss_paths(ad.as_tensor(fake), ad.as_tensor(real))
+    return _signature_loss(leadlag_signature_tensor(paths, degree), _mse_gap)
 
 
 def sig_kld_loss(fake, real, degree: int = 5) -> Tensor:
-    """KL divergence between softmax-normalized signature coefficient vectors.
+    """KL divergence between softmax-normalized expected signatures.
 
     The softmax runs over the full coefficient vector, constant term
     included; fake is the left argument. Plain and cumulative terms add.
+    ``fake`` and ``real`` are (B, T, 1) window batches of one shape.
     """
-    sig_f, sig_r, cum_f, cum_r = _expected_signatures(fake, real, degree)
-    return ad.add(_softmax_kl(sig_f, sig_r), _softmax_kl(cum_f, cum_r))
+    paths = _loss_paths(ad.as_tensor(fake), ad.as_tensor(real))
+    return _signature_loss(leadlag_signature_tensor(paths, degree), _softmax_kl)
 
 
 LOSS_FUNCTIONS = {"mse": sig_mse_loss, "kld": sig_kld_loss}
@@ -530,12 +588,9 @@ def train(returns, cfg: SigGanConfig, stats: PreprocessStats | None = None) -> T
         model.discriminator.parameters(),
         cfg.learning_rate,
         maximize=True,
-        clip_norm=GRAD_CLIP_NORM,
         trust_radius=DISC_TRUST_RADIUS,
     )
-    opt_gen = RmsProp(
-        model.generator.parameters(), cfg.learning_rate, clip_norm=GRAD_CLIP_NORM
-    )
+    opt_gen = RmsProp(model.generator.parameters(), cfg.learning_rate)
     loss_fn = LOSS_FUNCTIONS[cfg.loss_kind]
 
     def player_step(opt, real_windows, adjs) -> float:

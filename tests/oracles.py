@@ -15,6 +15,10 @@ tensor product, and `path_signature` their left fold over a
 piecewise-linear path. They work in any dimension, one Kronecker product
 per pair of levels, and share only the flat coefficient layout
 (`sig_length`, `level_offsets`) with the engine.
+
+`tsum` and `comparison_node` are graph nodes only the gradient checks
+use: a scalarizer, and a node around one of the losses' plain-numpy
+comparisons.
 """
 
 from dataclasses import dataclass
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from siggraphgan import autodiff as ad
 from siggraphgan.errors import ShapeError, SizeError
 from siggraphgan.signature import level_offsets, sig_length
 
@@ -121,6 +126,25 @@ def finite_difference_gradient(func, param, h: float = 1e-5) -> np.ndarray:
         param.value[idx] = original
         grad[idx] = (plus - minus) / (2.0 * h)
     return grad
+
+
+def tsum(t):
+    """Sum of all elements of a tensor, as a scalar graph node."""
+    return ad.from_op(
+        t.value.sum(), [(t, lambda g: np.broadcast_to(g, t.value.shape).copy())], "sum"
+    )
+
+
+def comparison_node(compare, a, b):
+    """Graph node of one of the losses' plain-numpy comparisons of a and b.
+
+    ``compare(a, b)`` returns its value and a vjp that maps the upstream
+    gradient to the gradients of a and b.
+    """
+    value, vjp = compare(a.value, b.value)
+    return ad.from_op(
+        value, [(a, lambda g: vjp(g)[0]), (b, lambda g: vjp(g)[1])], compare.__name__
+    )
 
 
 def gradient_check(build_loss, params, h: float = 1e-5) -> float:

@@ -16,12 +16,14 @@ from oracles import (
     SignatureVector,
     brute_force_visibility,
     chen_concat,
+    comparison_node,
     emd_lp,
     gradient_check,
     iterated_integral_quadrature,
     lead_lag,
     path_signature,
     segment_signature,
+    tsum,
 )
 from siggraphgan import autodiff as ad
 from siggraphgan import layers as ly
@@ -32,6 +34,7 @@ from siggraphgan import visibility as vg
 from siggraphgan.fixture import fixture_prices
 from siggraphgan.siggan import (
     SigGanConfig,
+    _mse_gap,
     _softmax_kl,
     sig_kld_loss,
     sig_mse_loss,
@@ -185,13 +188,13 @@ def test_criterion_3_gradient_suite():
         x = ad.Tensor(rng.standard_normal((rows, fi)))
         w = ad.Parameter(rng.standard_normal((fi, fo)), "w")
         b = ad.Parameter(rng.standard_normal(fo), "b")
-        check("dense", lambda: ad.tsum(ad.tanh(ly.dense_forward(x, w, b))), [w, b])
+        check("dense", lambda: tsum(ad.tanh(ly.dense_forward(x, w, b))), [w, b])
 
     # lstm
     for batch, steps, fi, hidden in [(2, 4, 3, 4), (1, 5, 2, 3), (3, 3, 4, 2)]:
         lstm = ly.LSTM(ly.RandomInit(rng), fi, hidden, "l")
         seq = ad.Parameter(rng.standard_normal((batch, steps, fi)), "seq")
-        check("lstm", lambda: ad.tsum(lstm(seq)), lstm.parameters() + [seq])
+        check("lstm", lambda: tsum(lstm(seq)), lstm.parameters() + [seq])
 
     # gcn
     for n, fi, fo in [(5, 3, 2), (4, 2, 4), (6, 1, 3)]:
@@ -199,30 +202,34 @@ def test_criterion_3_gradient_suite():
         h = ad.Parameter(rng.standard_normal((n, fi)), "h")
         theta = ad.Parameter(rng.standard_normal((fi, fo)), "theta")
         norm = ly.normalized_adjacency(adjacency)
-        check("gcn", lambda: ad.tsum(ly.gcn_apply(h, norm, theta)), [h, theta])
+        check("gcn", lambda: tsum(ly.gcn_apply(h, norm, theta)), [h, theta])
 
     # prelu
     for shape in [(5,), (3, 4), (2, 2, 3)]:
         x = ad.Parameter(rng.standard_normal(shape) + 0.2, "x")
-        check("prelu", lambda: ad.tsum(ad.prelu(x)), [x])
+        check("prelu", lambda: tsum(ad.prelu(x)), [x])
 
-    # softmax
+    # softmax: the kl comparison through its left argument alone
     for size in (3, 6, 9):
         logits = ad.Parameter(rng.standard_normal((2, size)), "lg")
         weights = ad.Tensor(rng.standard_normal((2, size)))
-        check("softmax", lambda: ad.tsum(ad.mul(ad.softmax(logits), weights)), [logits])
+        check("softmax", lambda: tsum(comparison_node(_softmax_kl, logits, weights)), [logits])
 
-    # kl divergence
+    # kl divergence, one value per row
     for size in (3, 5, 8):
         p_logits = ad.Parameter(rng.standard_normal((2, size)), "p")
         q_logits = ad.Parameter(rng.standard_normal((2, size)), "q")
-        check("kl", lambda: _softmax_kl(p_logits, q_logits), [p_logits, q_logits])
+        check(
+            "kl",
+            lambda: tsum(comparison_node(_softmax_kl, p_logits, q_logits)),
+            [p_logits, q_logits],
+        )
 
     # mse
     for shape in [(4,), (3, 3), (2, 4, 1)]:
         a = ad.Parameter(rng.standard_normal(shape), "a")
         b = ad.Parameter(rng.standard_normal(shape), "b")
-        check("mse", lambda: ly.mse(a, b), [a, b])
+        check("mse", lambda: comparison_node(_mse_gap, a, b), [a, b])
 
     # both training losses, three shapes each
     for batch, steps in [(1, 5), (2, 6), (3, 4)]:

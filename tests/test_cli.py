@@ -192,7 +192,11 @@ class TestGenerate:
         assert cli.main(argv) == 3
         assert "UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field,value", [("std", "0.0"), ("delta", "-1.0"), ("std", "nan")])
+    @pytest.mark.parametrize(
+        "field,value",
+        [("std", "0.0"), ("delta", "-1.0"), ("std", "nan"), ("std", "inf"), ("delta", "inf"),
+         ("mean", "nan"), ("mean", "inf"), ("mean", "-inf")],
+    )
     def test_invalid_stats_exits_3(self, trained_dir, price_csv, tmp_path, capsys, field, value):
         """Stats that cannot invert the preprocessing fail the load, at the stats line."""
         data = (trained_dir / "checkpoint.bin").read_bytes()
@@ -436,6 +440,14 @@ class TestBaseline:
         assert cli.main(["baseline", "--config", str(cfg)]) == 0
         lines = (out / "gbm_samples.csv").read_text().splitlines()
         assert len(lines) == 1 + 6 * 12
+
+    @pytest.mark.parametrize("baseline", ["garch", "gbm"])
+    def test_zero_samples_write_header_only(self, tmp_path, price_csv, baseline):
+        out = tmp_path / "out"
+        cfg = tmp_path / "zero.cfg"
+        write_config(cfg, price_csv, out, baseline=baseline, n_samples=0)
+        assert cli.main(["baseline", "--config", str(cfg)]) == 0
+        assert len((out / f"{baseline}_samples.csv").read_text().splitlines()) == 1
 
     def test_gan_baseline_rejected(self, tmp_path, price_csv, capsys):
         cfg = tmp_path / "gan.cfg"

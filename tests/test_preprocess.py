@@ -81,11 +81,22 @@ class TestNormalize:
 
 class TestPreprocessStats:
     @pytest.mark.parametrize(
-        "std,delta", [(0.0, 0.1), (-1.0, 0.1), (math.nan, 0.1), (1.0, -1.0), (1.0, math.nan)]
+        "mean,std,delta",
+        [
+            pytest.param(0.0, std, delta, id=f"{std}-{delta}")
+            for std, delta in [
+                (0.0, 0.1), (-1.0, 0.1), (math.nan, 0.1), (1.0, -1.0), (1.0, math.nan),
+                (math.inf, 0.1), (1.0, math.inf),
+            ]
+        ]
+        + [
+            pytest.param(mean, 1.0, 0.1, id=f"mean={mean}")
+            for mean in (math.nan, math.inf, -math.inf)
+        ],
     )
-    def test_invalid_fields_rejected(self, std, delta):
+    def test_invalid_fields_rejected(self, mean, std, delta):
         with pytest.raises(DomainError):
-            pp.PreprocessStats(mean=0.0, std=std, delta=delta)
+            pp.PreprocessStats(mean=mean, std=std, delta=delta)
 
 
 class TestLambertW:

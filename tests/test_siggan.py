@@ -151,13 +151,14 @@ class TestLosses:
         b = ad.Tensor(0.001 * rng.standard_normal((2, 30, 1)))
         assert np.isfinite(sg.sig_kld_loss(a, b).item())
 
-    def test_single_window_shapes_accepted(self):
+    def test_only_window_batches_accepted(self):
         rng = np.random.default_rng(3)
         flat = rng.standard_normal(9)
-        col = flat[:, None]
-        assert sg.sig_mse_loss(
-            ad.Tensor(flat), ad.Tensor(col)
-        ).item() == pytest.approx(0.0)
+        window = ad.Tensor(flat[np.newaxis, :, np.newaxis])
+        assert sg.sig_mse_loss(window, window).item() == 0.0
+        for shape in [(9,), (9, 1), (1, 9)]:
+            with pytest.raises(ShapeError):
+                sg.sig_mse_loss(ad.Tensor(flat.reshape(shape)), window)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -166,16 +167,26 @@ class TestLosses:
     def test_gradient_check_mse(self):
         rng = np.random.default_rng(4)
         fake = ad.Parameter(0.5 * rng.standard_normal((2, 6, 1)), "fake")
-        real = ad.Tensor(0.5 * rng.standard_normal((2, 6, 1)))
-        err = gradient_check(lambda: sg.sig_mse_loss(fake, real), [fake])
+        real = ad.Parameter(0.5 * rng.standard_normal((2, 6, 1)), "real")
+        err = gradient_check(lambda: sg.sig_mse_loss(fake, real), [fake, real])
         assert err <= 1e-4
 
     def test_gradient_check_kld(self):
         rng = np.random.default_rng(5)
         fake = ad.Parameter(0.5 * rng.standard_normal((2, 6, 1)), "fake")
-        real = ad.Tensor(0.5 * rng.standard_normal((2, 6, 1)))
-        err = gradient_check(lambda: sg.sig_kld_loss(fake, real), [fake])
+        real = ad.Parameter(0.5 * rng.standard_normal((2, 6, 1)), "real")
+        err = gradient_check(lambda: sg.sig_kld_loss(fake, real), [fake, real])
         assert err <= 1e-4
+
+    @pytest.mark.parametrize("kind", sg.LOSS_KINDS)
+    @pytest.mark.parametrize("batch,steps", [(1, 2), (3, 7), (10, 20)])
+    def test_graph_is_three_nodes(self, kind, batch, steps):
+        rng = np.random.default_rng(6)
+        fake = ad.Parameter(rng.standard_normal((batch, steps, 1)), "fake")
+        real = ad.Parameter(rng.standard_normal((batch, steps, 1)), "real")
+        loss = sg.LOSS_FUNCTIONS[kind](fake, real)
+        ops = [node._op for node in ad._toposort(loss)]
+        assert ops == ["signature_loss", "leadlag_signature", "loss_paths"]
 
 
 class TestNetworks:
@@ -392,7 +403,6 @@ class TestTraining:
             model.discriminator.parameters(),
             learning_rate=1e-6,
             maximize=True,
-            clip_norm=sg.GRAD_CLIP_NORM,
             trust_radius=sg.DISC_TRUST_RADIUS,
         )
         opt.step()
