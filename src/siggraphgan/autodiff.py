@@ -226,18 +226,17 @@ def prelu(a, alpha: float = 0.25) -> Tensor:
     return from_op(a.value * slope, [(a, lambda g: g * slope)], "prelu")
 
 
-def dropout(a, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
+def dropout(a, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale survivors.
 
-    In inference mode or at rate 0 it is the identity and returns ``a``
-    itself: no copy and no graph node, so gradients reach ``a`` unchanged.
+    Without an rng, or at rate 0, it is the identity and returns ``a``
+    itself: no copy and no graph node. The mask is drawn whether or not
+    ``a`` requires grad, so the rng's stream does not depend on it.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
     a = as_tensor(a)
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return a
-    if rng is None:
-        raise ConfigError("training-mode dropout needs an rng")
     keep = (rng.random(a.value.shape) >= rate) / (1.0 - rate)
     return from_op(a.value * keep, [(a, lambda g: g * keep)], "dropout")

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConvergenceError, DegenerateInputError, DomainError, SizeError
 from .preprocess import PriceSeries, log_returns
@@ -72,6 +71,8 @@ def garch_conditional_variance(returns: np.ndarray, omega, alpha, beta) -> np.nd
     The recursion starts from the sample variance and is evaluated as a
     linear filter, which keeps the likelihood loop out of Python.
     """
+    from scipy.signal import lfilter  # here, so only GARCH pays scipy's import
+
     r = np.asarray(returns, dtype=np.float64)
     sig2 = np.empty_like(r)
     sig2[0] = np.var(r)

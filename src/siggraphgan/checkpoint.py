@@ -16,14 +16,15 @@ Layout (all header lines are UTF-8, newline-terminated):
     [end]
 
 Parameter payloads are exact float64 bytes, so a save/load round trip
-reproduces forward passes bit for bit. Parse failures report the byte
-offset; a wrong version line is rejected before anything else is read.
+reproduces forward passes bit for bit. A missing or repeated config key
+or stats token fails the parse, which reports the byte offset; a wrong
+version line is rejected before anything else is read.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -196,7 +197,12 @@ def load_checkpoint(path) -> Checkpoint:
         if "=" not in line:
             raise CheckpointParseError(f"malformed config line {line!r}", mark)
         key, _, value = line.partition("=")
+        if key in items:
+            raise CheckpointParseError(f"repeated config key {key!r}", mark)
         items[key] = value
+    missing = [f.name for f in fields(SigGanConfig) if f.name not in items]
+    if missing:
+        raise CheckpointParseError(f"config lacks keys {missing}", mark)
     config = config_from_items(items)
 
     mark = reader.pos
@@ -206,6 +212,8 @@ def load_checkpoint(path) -> Checkpoint:
         if "=" not in token:
             raise CheckpointParseError(f"malformed stats token {token!r}", mark)
         key, _, value = token.partition("=")
+        if key in stats_fields:
+            raise CheckpointParseError(f"repeated stats key {key!r}", mark)
         try:
             stats_fields[key] = float(value)
         except ValueError as exc:
@@ -233,13 +241,13 @@ def load_checkpoint(path) -> Checkpoint:
         params = []
         for _ in range(count):
             mark = reader.pos
-            fields = reader.line().split()
-            if len(fields) < 3 or fields[0] != "param":
+            words = reader.line().split()
+            if len(words) < 3 or words[0] != "param":
                 raise CheckpointParseError("expected 'param' header", mark)
-            name = fields[1]
+            name = words[1]
             try:
-                ndim = int(fields[2])
-                dims = tuple(int(d) for d in fields[3 : 3 + ndim])
+                ndim = int(words[2])
+                dims = tuple(int(d) for d in words[3 : 3 + ndim])
             except ValueError as exc:
                 raise CheckpointParseError("bad shape header", mark) from exc
             if len(dims) != ndim:

@@ -148,7 +148,7 @@ def _step_blocks(steps: int):
     return zip(starts, starts[1:] + [steps])
 
 
-def _lstm_sequence(seq: Tensor, params: LSTM) -> Tensor:
+def lstm_forward(seq, params: LSTM) -> Tensor:
     """Whole LSTM layer over a (B, T, F) input, as one graph node.
 
     Returns the (B, T, H) hidden sequence from zero initial states. The
@@ -162,10 +162,19 @@ def _lstm_sequence(seq: Tensor, params: LSTM) -> Tensor:
     activations and the result is a node without parents; its values are
     the same as in grad mode.
     """
+    seq = ad.as_tensor(seq)
     x = seq.value
+    if x.ndim != 3:
+        raise ShapeError(f"lstm expects (batch, time, features), got {x.shape}")
+    batch, steps, features = x.shape
+    if features != params.in_features:
+        raise ShapeError(
+            f"lstm: input features {features} != configured {params.in_features}"
+        )
+    if steps < 1:
+        raise ShapeError("lstm needs at least one time step")
     w_in, bias, w = params.w_input.value, params.bias.value, params.w_recur.value
     hidden = params.hidden
-    batch, steps, features = x.shape
     keep = any(t.requires_grad for t in (seq, params.w_input, params.bias, params.w_recur))
     h = np.zeros((batch, hidden))
     c = np.zeros_like(h)
@@ -232,27 +241,6 @@ def _lstm_sequence(seq: Tensor, params: LSTM) -> Tensor:
         ],
         "lstm",
     )
-
-
-def lstm_forward(seq, params: LSTM) -> Tensor:
-    """Run an LSTM and return the full hidden sequence (batch, time, hidden).
-
-    Initial hidden and cell states are zero. Input projection and
-    recurrence are the single graph node of `_lstm_sequence`, whose adjoint
-    does backpropagation through time. With nothing requiring grad, the
-    node keeps no state for a backward pass.
-    """
-    seq = ad.as_tensor(seq)
-    if seq.value.ndim != 3:
-        raise ShapeError(f"lstm expects (batch, time, features), got {seq.value.shape}")
-    _, steps, features = seq.value.shape
-    if features != params.in_features:
-        raise ShapeError(
-            f"lstm: input features {features} != configured {params.in_features}"
-        )
-    if steps < 1:
-        raise ShapeError("lstm needs at least one time step")
-    return _lstm_sequence(seq, params)
 
 
 # -- graph convolution --------------------------------------------------------

@@ -379,11 +379,11 @@ class RecurrentBlock:
         params = [p for lstm in self.lstms for p in lstm.parameters()]
         return params + self.head.parameters()
 
-    def forward(self, x: Tensor, training: bool, rng) -> Tensor:
+    def forward(self, x: Tensor, rng) -> Tensor:
         h = x
         for lstm in self.lstms:
             h = lstm(h)
-            h = ad.dropout(h, self.cfg.effective_dropout, training, rng)
+            h = ad.dropout(h, self.cfg.effective_dropout, rng)
         return self.head(h)
 
 
@@ -405,11 +405,11 @@ class GeometricBlock:
     def parameters(self):
         return self.thetas + self.lstm.parameters() + self.head.parameters()
 
-    def forward(self, x: Tensor, norm_adjacency: np.ndarray, training: bool, rng) -> Tensor:
+    def forward(self, x: Tensor, norm_adjacency: np.ndarray, rng) -> Tensor:
         h = x
         for theta in self.thetas:
             h = ly.gcn_apply(h, norm_adjacency, theta)
-            h = ad.dropout(h, self.cfg.effective_dropout, training, rng)
+            h = ad.dropout(h, self.cfg.effective_dropout, rng)
         h = self.lstm(h)
         return self.head(h)
 
@@ -467,16 +467,16 @@ class GanNetwork:
                 params.extend(block.parameters())
         return params
 
-    def forward(self, x: Tensor, norm_adjacency: np.ndarray, training: bool = False, rng=None) -> Tensor:
+    def forward(self, x: Tensor, norm_adjacency: np.ndarray, rng=None) -> Tensor:
         if x.value.ndim != 3 or x.value.shape[2] != self.in_features:
             raise ShapeError(
                 f"expected input (B, T, {self.in_features}), got {x.value.shape}"
             )
         parts = []
         if self.recurrent is not None:
-            parts.append(self.recurrent.forward(x, training, rng))
+            parts.append(self.recurrent.forward(x, rng))
         if self.geometric is not None:
-            parts.append(self.geometric.forward(x, norm_adjacency, training, rng))
+            parts.append(self.geometric.forward(x, norm_adjacency, rng))
         if parts:
             total = parts[0] if len(parts) == 1 else ad.add(parts[0], parts[1])
         else:
@@ -512,11 +512,11 @@ class SigGraphGan:
         self.generator = GanNetwork(gen_init, cfg, cfg.noise_features, "gen")
         self.discriminator = None if disc_init is None else GanNetwork(disc_init, cfg, 1, "disc")
 
-    def generator_forward(self, noise, norm_adjacency, training=False, rng=None) -> Tensor:
-        return self.generator.forward(ad.as_tensor(noise), norm_adjacency, training, rng)
+    def generator_forward(self, noise, norm_adjacency, rng=None) -> Tensor:
+        return self.generator.forward(ad.as_tensor(noise), norm_adjacency, rng)
 
-    def discriminator_forward(self, real, norm_adjacency, training=False, rng=None) -> Tensor:
-        return self.discriminator.forward(ad.as_tensor(real), norm_adjacency, training, rng)
+    def discriminator_forward(self, real, norm_adjacency, rng=None) -> Tensor:
+        return self.discriminator.forward(ad.as_tensor(real), norm_adjacency, rng)
 
 
 # -- training and generation --------------------------------------------------
@@ -549,8 +549,9 @@ def train(returns, cfg: SigGanConfig, stats: PreprocessStats | None = None) -> T
 
     Per batch the discriminator takes one RMSProp ascent step on the
     signature loss, then the generator takes one descent step with fresh
-    noise. Each step detaches the other player's output, so its backward
-    pass walks only the stepping player's graph. Both updates clip the
+    noise. Only the stepping player's parameters require grad during its
+    step, so the idle player's forward records no graph and the backward
+    pass walks the stepping player's alone. Both updates clip the
     global gradient norm at 5. The per-epoch trace records the mean loss
     of the generator steps.
 
@@ -593,18 +594,16 @@ def train(returns, cfg: SigGanConfig, stats: PreprocessStats | None = None) -> T
     opt_gen = RmsProp(model.generator.parameters(), cfg.learning_rate)
     loss_fn = LOSS_FUNCTIONS[cfg.loss_kind]
 
-    def player_step(opt, real_windows, adjs) -> float:
-        """One step of ``opt``'s player, the other's output held constant."""
+    def player_step(opt, idle, real_windows, adjs) -> float:
+        """One step of ``opt``'s player; ``idle``'s output is a constant."""
+        for p in opt.params:
+            p.requires_grad = True
+        for p in idle.params:
+            p.requires_grad = False
         batch = real_windows.shape[0]
         noise = noise_rng.standard_normal((batch, cfg.seq_len, cfg.noise_features))
-        fake = model.generator_forward(noise, adjs, training=True, rng=dropout_rng)
-        if opt is opt_disc:
-            fake = Tensor(fake.value)  # drop the generator's graph before the critic's
-        real = model.discriminator_forward(
-            real_windows[:, :, np.newaxis], adjs, training=True, rng=dropout_rng
-        )
-        if opt is opt_gen:
-            real = Tensor(real.value)
+        fake = model.generator_forward(noise, adjs, dropout_rng)
+        real = model.discriminator_forward(real_windows[:, :, np.newaxis], adjs, dropout_rng)
         loss = loss_fn(fake, real, cfg.sig_degree)
         loss.backward()
         opt.step()
@@ -619,8 +618,8 @@ def train(returns, cfg: SigGanConfig, stats: PreprocessStats | None = None) -> T
             real_batch = window_values[idx]
             adj_batch = window_adjacencies(graph, idx, cfg)
             try:
-                player_step(opt_disc, real_batch, adj_batch)
-                gen_losses.append(player_step(opt_gen, real_batch, adj_batch))
+                player_step(opt_disc, opt_gen, real_batch, adj_batch)
+                gen_losses.append(player_step(opt_gen, opt_disc, real_batch, adj_batch))
             except NumericError as exc:
                 raise NumericError(
                     f"{exc} (epoch {epoch}, batch starting at {start})"
@@ -692,7 +691,7 @@ def generate(
         rows = slice(start, start + size)
         idx = np.arange(start, start + size) % n_windows
         adjs = window_adjacencies(graph, idx, cfg)
-        fake = model.generator_forward(noise[rows], adjs, training=False)
+        fake = model.generator_forward(noise[rows], adjs)
         outputs[rows] = fake.value[:, :, 0]
 
     workers = min(GENERATE_THREADS, _usable_cores(), len(sizes))

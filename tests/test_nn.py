@@ -239,24 +239,33 @@ class TestActivations:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = ad.Tensor(np.arange(10.0))
-        out = ad.dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
+        out = ad.dropout(x, 0.0, np.random.default_rng(0))
         assert out is x  # no copy, no graph node
 
     def test_inference_identity(self):
+        # inference passes no rng
         x = ad.Tensor(np.arange(10.0))
-        assert ad.dropout(x, 0.9, training=False) is x
+        assert ad.dropout(x, 0.9, None) is x
+
+    def test_draws_mask_when_input_needs_no_grad(self):
+        # the rng advances the same whether or not a graph is recorded
+        x = ad.Tensor(np.ones((4, 5)))
+        out = ad.dropout(x, 0.4, np.random.default_rng(3))
+        keep = np.random.default_rng(3).random((4, 5)) >= 0.4
+        assert np.array_equal(out.value, keep / (1.0 - 0.4))
+        assert out._parents == () and not out.requires_grad
 
     def test_statistics_at_table_rate(self):
         rng = np.random.default_rng(8)
         x = np.ones(100_000)
-        out = ad.dropout(ad.Tensor(x), 0.31, training=True, rng=rng).value
+        out = ad.dropout(ad.Tensor(x), 0.31, rng).value
         zero_fraction = np.mean(out == 0.0)
         assert abs(zero_fraction - 0.31) <= 0.01
         assert abs(out.mean() - 1.0) <= 0.02
 
     def test_rate_validation(self):
         with pytest.raises(ConfigError):
-            ad.dropout(ad.Tensor(np.zeros(3)), 1.0, training=True)
+            ad.dropout(ad.Tensor(np.zeros(3)), 1.0, None)
 
 
 class TestLossOps:
@@ -402,7 +411,7 @@ class TestGradientSuite:
         x = ad.Parameter(rng.standard_normal((4, 5)), "x")
         err = gradient_check(
             lambda: tsum(
-                ad.dropout(x, 0.4, training=True, rng=np.random.default_rng(99))
+                ad.dropout(x, 0.4, np.random.default_rng(99))
             ),
             [x],
         )

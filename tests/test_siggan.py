@@ -253,7 +253,7 @@ class TestNetworks:
             for p in lstm.parameters():
                 p.value = np.zeros_like(p.value)
         x = ad.Tensor(np.random.default_rng(0).standard_normal((2, cfg.seq_len, 1)))
-        out = block.forward(x, training=False, rng=None)
+        out = block.forward(x, rng=None)
         expected = np.tile(block.head.bias.value, (2, cfg.seq_len, 1))
         assert out.value == pytest.approx(expected)
 
@@ -375,6 +375,35 @@ class TestTraining:
         assert len(optimizers) == 2 and idle_grads
         assert all(g is None for g in idle_grads)
 
+    def test_only_stepping_player_records_a_graph(self, monkeypatch):
+        outputs, steps = {}, []
+        step = RmsProp.step
+
+        def recording(player, forward):
+            def wrapped(*args, **kwargs):
+                out = forward(*args, **kwargs)
+                outputs[player] = out
+                return out
+
+            return wrapped
+
+        def recorded_step(opt):
+            stepping = "disc" if opt.maximize else "gen"
+            steps.append((stepping, dict(outputs)))
+            outputs.clear()
+            step(opt)
+
+        for player, name in (("gen", "generator_forward"), ("disc", "discriminator_forward")):
+            monkeypatch.setattr(SigGraphGan, name, recording(player, getattr(SigGraphGan, name)))
+        monkeypatch.setattr(RmsProp, "step", recorded_step)
+        train(np.random.default_rng(10).standard_normal(30), tiny_config(epochs=2))
+        assert steps and [player for player, _ in steps] == ["disc", "gen"] * (len(steps) // 2)
+        for stepping, recorded in steps:
+            assert set(recorded) == {"gen", "disc"}
+            idle = "gen" if stepping == "disc" else "disc"
+            assert recorded[idle]._parents == ()
+            assert recorded[stepping]._parents != ()
+
     def test_deterministic_checkpoints(self):
         cfg = tiny_config(epochs=2, seed=42)
         returns = np.random.default_rng(3).standard_normal(50)
@@ -430,7 +459,7 @@ class TestTraining:
 
 class TestPresetMemory:
     # one batch at each tuned preset (seq_len 100, batch 30); measured about
-    # 0.8 GiB for kld and 1.4 GiB for mse, on numpy 2.4 / OpenBLAS 0.3.31
+    # 0.33 GiB for kld and 0.55 GiB for mse, on numpy 2.4 / OpenBLAS 0.3.31
     @pytest.mark.parametrize("loss_kind, budget_gib", [("kld", 1.2), ("mse", 2.0)])
     def test_one_batch_within_budget(self, loss_kind, budget_gib):
         cfg = SigGanConfig.for_loss(loss_kind, epochs=1)
@@ -504,7 +533,7 @@ def unchunked_generate(checkpoint, conditioning_log_returns, n_samples, seed):
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     noise = rng.standard_normal((n_samples, cfg.seq_len, cfg.noise_features))
     adjs = sg.window_adjacencies(graph, np.arange(n_samples) % n_windows, cfg)
-    fake = model.generator_forward(noise, adjs, training=False)
+    fake = model.generator_forward(noise, adjs)
     return invert_pipeline(fake.value[:, :, 0], stats)
 
 
@@ -737,6 +766,44 @@ class TestCheckpointRoundTrip:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(CheckpointParseError, match="byte offset"):
             load_checkpoint(path)
+
+    @staticmethod
+    def _saved_lines(tmp_path):
+        cfg = tiny_config(epochs=0, loss_kind="kld", graph_direction="left_to_right", seed=3)
+        result = train(np.random.default_rng(9).standard_normal(40), cfg)
+        path = tmp_path / "model.bin"
+        save_checkpoint(result.checkpoint, path)
+        return path, path.read_bytes().splitlines(keepends=True)
+
+    @pytest.mark.parametrize(
+        "line", [b"graph_direction=left_to_right\n", b"loss_kind=kld\n", b"seed=3\n"]
+    )
+    def test_missing_config_key_reports_stats_offset(self, tmp_path, line):
+        path, lines = self._saved_lines(tmp_path)
+        lines.remove(line)
+        data = b"".join(lines)
+        path.write_bytes(data)
+        with pytest.raises(CheckpointParseError, match="lacks") as err:
+            load_checkpoint(path)
+        assert err.value.offset == data.index(b"[stats]\n")
+
+    def test_repeated_config_key_reports_its_line(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        at = lines.index(b"[stats]\n")
+        head = b"".join(lines[:at])
+        path.write_bytes(head + b"seed=4\n" + b"".join(lines[at:]))
+        with pytest.raises(CheckpointParseError, match="repeated config key 'seed'") as err:
+            load_checkpoint(path)
+        assert err.value.offset == len(head)
+
+    def test_repeated_stats_token_reports_its_line(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        at = lines.index(b"[stats]\n") + 1
+        head = b"".join(lines[:at])
+        path.write_bytes(head + lines[at].rstrip() + b" std=2.0\n" + b"".join(lines[at + 1 :]))
+        with pytest.raises(CheckpointParseError, match="repeated stats key 'std'") as err:
+            load_checkpoint(path)
+        assert err.value.offset == len(head)
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "model.bin"
