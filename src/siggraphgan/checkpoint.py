@@ -16,9 +16,12 @@ Layout (all header lines are UTF-8, newline-terminated):
     [end]
 
 Parameter payloads are exact float64 bytes, so a save/load round trip
-reproduces forward passes bit for bit. A missing or repeated config key
-or stats token fails the parse, which reports the byte offset; a wrong
-version line is rejected before anything else is read.
+reproduces forward passes bit for bit. A config line with an unknown key,
+a repeated key or a malformed value fails the parse at that line's byte
+offset; missing config keys, and a config that fails validation as a
+whole, fail it at the ``[stats]`` line's. Stats lines fail likewise at
+their own offset. A wrong version line is rejected before anything else
+is read.
 """
 
 from __future__ import annotations
@@ -29,10 +32,22 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .autodiff import Parameter
-from .errors import CheckpointParseError, CheckpointVersionError, DomainError, ShapeError
+from .errors import (
+    CheckpointParseError,
+    CheckpointVersionError,
+    ConfigError,
+    DomainError,
+    ShapeError,
+)
 from .ioutil import atomic_write_bytes
 from .preprocess import PreprocessStats
-from .siggan import SigGanConfig, SigGraphGan, config_from_items, config_to_items
+from .siggan import (
+    SigGanConfig,
+    SigGraphGan,
+    config_from_items,
+    config_to_items,
+    parse_config_items,
+)
 
 FORMAT_VERSION = "siggraphgan-checkpoint v1"
 
@@ -199,11 +214,18 @@ def load_checkpoint(path) -> Checkpoint:
         key, _, value = line.partition("=")
         if key in items:
             raise CheckpointParseError(f"repeated config key {key!r}", mark)
+        try:
+            parse_config_items({key: value})
+        except ConfigError as exc:
+            raise CheckpointParseError(f"bad config line: {exc}", mark) from exc
         items[key] = value
     missing = [f.name for f in fields(SigGanConfig) if f.name not in items]
     if missing:
         raise CheckpointParseError(f"config lacks keys {missing}", mark)
-    config = config_from_items(items)
+    try:
+        config = config_from_items(items)
+    except ConfigError as exc:
+        raise CheckpointParseError(f"invalid config: {exc}", mark) from exc
 
     mark = reader.pos
     stats_line = reader.line()

@@ -12,7 +12,10 @@ that every lead-lag increment moves along a single coordinate. The engine
 also provides the exact adjoint used during GAN training. Its reference is
 the generic word-indexed `path_signature` of `lead_lag` in
 ``tests/oracles.py``, valid for any dimension, which the tests compare it
-with.
+with. Each Chen step adds every run length of the step's letter at once
+but keeps each coefficient's additions in the order of one run at a time,
+so the engine equals the sequential engine kept in ``tests/oracles.py``
+bit for bit.
 
 `leadlag_window_mean` computes the mean lead-lag signature over all
 sliding windows of one series from per-block prefix and suffix
@@ -20,15 +23,18 @@ signatures, with the engine's Chen step; its oracle is the engine applied
 to the stacked windows, then averaged.
 
 The engine works coefficient-major: its running signature is (L, B), one
-contiguous row of B values per coefficient, and the adjoint runs in the
-same layout. The snapshots the forward keeps for the adjoint hold levels
-0..degree-1 only, the rows a Chen step reads as sources. Results are
-returned row-major, (B, L), like every other signature in the package.
+contiguous row of B values per coefficient, with the words ending in each
+letter in one block of rows (`_step_tables`), and the adjoint runs in the
+flat layout. The snapshots the forward keeps for the adjoint hold levels
+0..degree-1 only, in the flat layout, the rows a Chen step reads as
+sources. Results are returned row-major, (B, L), like every other
+signature in the package.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,11 +65,19 @@ def level_offsets(dim: int, degree: int) -> list[int]:
 # with such a segment therefore reads, for each word w ending in r copies of
 # letter c:
 #
-#     new[w] = sum_{r=0..run_c(w)} prev[w with trailing c^r removed] * a^r / r!
+#     new[w] = old[w] + sum_{r=1..run_c(w)} old[w with trailing c^r removed] * a^r / r!
 #
-# which is a handful of gather-multiply-adds per level. The tables below
-# enumerate, per (letter, run length, level), the destination words and
-# their truncated sources.
+# adding the terms in increasing r. `_run_tables` enumerates, per (letter,
+# run length), the destination words and their truncated sources. Every
+# word ending in c^r also ends in c^(r-1), so once the words ending in c are
+# ordered longest trailing run first, the destinations of each run are a
+# prefix of that order. The engine keeps its working signature in that
+# order (`_step_tables`), so a step's destinations are one contiguous block
+# of rows: it gathers the sources of all runs at once, scales each by its
+# a^r / r! row and adds the runs in order, each as one prefix slice. Each
+# word still gets its terms in run order, so every sum rounds as it did
+# when the step took one run at a time (``tests/oracles.py`` keeps that
+# sequential step as the bit-exact reference).
 
 
 @lru_cache(maxsize=None)
@@ -94,6 +108,67 @@ def _run_tables(degree: int):
     return tables
 
 
+class _StepTables(NamedTuple):
+    """Index tables of the whole-run Chen step and its adjoint; see `_step_tables`."""
+
+    flat: np.ndarray
+    words: tuple[slice, slice]
+    sources: tuple[np.ndarray, np.ndarray]
+    targets: tuple[np.ndarray, np.ndarray]
+    rows: np.ndarray
+    runs: np.ndarray
+    blocks: tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=None)
+def _step_tables(degree: int) -> _StepTables:
+    """For d = 2: the `_run_tables` entries laid out for whole-run steps.
+
+    The working layout holds the empty word, then the words ending in
+    letter 1, then those ending in letter 2, each group ordered longest
+    trailing run first; ``flat`` is the working row of every flat
+    coefficient and ``words[c]`` the rows of letter index c's group. The
+    entries of all runs sit in one column, run 1 first: ``blocks[r-1]`` is
+    run r's (start, stop) and ``runs`` the run length of every entry. Per
+    letter index c:
+
+    - ``sources[c]``: in run r's block, the flat index of the i-th word of
+      the group with its run of r removed, for i < n_r;
+    - ``targets[c]``: in run r's block, the `_run_tables` destinations,
+      whose sources are the flat coefficients ``rows`` lists there: the
+      first n_r, levels 0..degree-r, in order.
+    """
+    if degree < 1:
+        raise ShapeError(f"signature degree must be >= 1, got {degree}")
+    run_tables = _run_tables(degree)
+    groups, sources = [], []
+    for per_run in run_tables.values():
+        depth = {}
+        for r, (dst, _) in enumerate(per_run, start=1):
+            depth.update(dict.fromkeys(dst.tolist(), r))
+        group = sorted(depth, key=depth.get, reverse=True)
+        groups.append(group)
+        letter_sources = []
+        for dst, src in per_run:
+            source_of = dict(zip(dst.tolist(), src.tolist()))
+            letter_sources += [source_of[w] for w in group[: len(dst)]]
+        sources.append(np.array(letter_sources))
+    counts = [len(dst) for dst, _ in run_tables[0]]
+    stops = np.cumsum(counts).tolist()
+    n = counts[0]
+    return _StepTables(
+        flat=np.argsort([0] + groups[0] + groups[1]),
+        words=(slice(1, 1 + n), slice(1 + n, 1 + 2 * n)),
+        sources=tuple(sources),
+        targets=tuple(
+            np.concatenate([dst for dst, _ in per_run]) for per_run in run_tables.values()
+        ),
+        rows=np.concatenate([src for _, src in run_tables[0]]),
+        runs=np.repeat(np.arange(1, degree + 1), counts),
+        blocks=tuple(zip([0] + stops[:-1], stops)),
+    )
+
+
 @lru_cache(maxsize=None)
 def _word_reversal(degree: int) -> np.ndarray:
     """For d = 2: flat index of the reversal of every word through ``degree``.
@@ -111,32 +186,35 @@ def _word_reversal(degree: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _chen_step(sig: np.ndarray, prev: np.ndarray, a: np.ndarray, per_run) -> None:
-    """Append one single-coordinate segment to a coefficient-major signature.
+def _step_powers(a: np.ndarray, degree: int) -> np.ndarray:
+    """(degree + 1,) + a.shape: entry r holds a^r / r!, the one before times a, over r."""
+    powers = np.empty((degree + 1,) + a.shape)
+    powers[0] = 1.0
+    powers[1] = a
+    for r in range(2, degree + 1):
+        row = powers[r]
+        np.multiply(powers[r - 1], a, out=row)
+        np.divide(row, r, out=row)
+    return powers
 
-    ``sig`` is (L, B) and is updated in place; ``prev`` holds its levels
-    0..degree-1 from before the step, ``a`` the B segment magnitudes and
-    ``per_run`` the `_run_tables` entry of the segment's coordinate.
+
+def _chen_step(words, prev, scale, sources, blocks, terms) -> None:
+    """Append one single-coordinate segment to a working signature.
+
+    ``words`` holds, updated in place, the working rows of every word ending
+    in the segment's letter (one `_step_tables` group, (n_1, B)); ``prev``
+    holds levels 0..degree-1 of the signature before the step, in the flat
+    layout. ``sources`` and ``blocks`` are the letter's `_step_tables`
+    entries, and ``scale`` holds, for every entry, the a^r / r! row of its
+    run length r. ``terms``, as large as ``scale``, is the caller's work
+    buffer, so a scan allocates nothing per step.
     """
-    coef = a
-    for r, (dst, src) in enumerate(per_run, start=1):
-        sig[dst] += prev[src] * coef
-        coef = coef * a / (r + 1)
-
-
-def _leadlag_increments(x: np.ndarray):
-    """Increment magnitudes of the lead-lag path of each series in a batch.
-
-    For series values x[., 0..n-1] the path increments alternate between the
-    lead coordinate and the lag coordinate, both with magnitude
-    x[., k+1] - x[., k]. Returns (steps, coords): steps is (2(n-1), B), one
-    contiguous row of B magnitudes per step, and coords is the per-step
-    coordinate index pattern (length 2(n-1)).
-    """
-    diffs = np.diff(x, axis=1).T
-    steps = np.repeat(diffs, 2, axis=0)
-    coords = np.tile(np.array([0, 1]), diffs.shape[0])
-    return steps, coords
+    # every index is in range; 'clip' lets take write straight into ``out``,
+    # which the default 'raise' would fill through a fresh buffer
+    prev.take(sources, axis=0, out=terms, mode="clip")
+    terms *= scale
+    for start, stop in blocks:
+        words[: stop - start] += terms[start:stop]
 
 
 def leadlag_signature_batch(series: np.ndarray, degree: int = 5) -> np.ndarray:
@@ -153,11 +231,15 @@ def leadlag_signature_batch(series: np.ndarray, degree: int = 5) -> np.ndarray:
 def _leadlag_forward(series: np.ndarray, degree: int):
     """Lead-lag signatures of a batch of series, plus the adjoint's cache.
 
-    The working signature is coefficient-major, (L, B), so every gather and
-    scatter of `_run_tables` moves whole contiguous rows of B values. Before
-    each Chen step the cache keeps a snapshot of levels 0..degree-1 only,
-    the rows that step reads as sources: (2(n-1), sig_length(2, degree-1),
-    B) in all. The result is returned row-major, (B, L) or (L,).
+    For series values x[., 0..n-1] the path moves the lead coordinate, then
+    the lag coordinate, both by x[., k+1] - x[., k]: 2(n-1) Chen steps, the
+    two of each difference sharing one `_step_powers`. The working signature
+    is coefficient-major, (L, B), in the `_step_tables` layout, so every
+    gather moves whole contiguous rows of B values and each step updates
+    one block of rows in place. Before each step the cache keeps a snapshot
+    of levels 0..degree-1 only, in the flat layout, the rows that step reads
+    as sources: (2(n-1), sig_length(2, degree-1), B) in all. The result is
+    returned row-major and flat, (B, L) or (L,).
     """
     x = np.asarray(series, dtype=np.float64)
     single = x.ndim == 1
@@ -168,17 +250,23 @@ def _leadlag_forward(series: np.ndarray, degree: int):
     if x.shape[1] < 2:
         raise SizeError(f"lead_lag needs >= 2 points, got {x.shape[1]}")
 
-    steps, coords = _leadlag_increments(x)
-    tables = _run_tables(degree)
-    sig = np.zeros((sig_length(2, degree), x.shape[0]))
-    sig[0] = 1.0
-    snapshots = np.empty((steps.shape[0], sig_length(2, degree - 1), x.shape[0]))
-    for t, a in enumerate(steps):
-        prev = snapshots[t]
-        prev[...] = sig[: prev.shape[0]]
-        _chen_step(sig, prev, a, tables[coords[t]])
-    cache = (x.shape, steps, coords, snapshots, degree)
-    sig = np.ascontiguousarray(sig.T)
+    diffs = np.ascontiguousarray(np.diff(x, axis=1).T)  # (n-1, B)
+    tables = _step_tables(degree)
+    work = np.zeros((sig_length(2, degree), x.shape[0]))
+    work[0] = 1.0
+    snapshots = np.empty((2 * diffs.shape[0], sig_length(2, degree - 1), x.shape[0]))
+    kept = tables.flat[: snapshots.shape[1]]
+    scale, terms = np.empty((2, tables.runs.shape[0], x.shape[0]))
+    for t, a in enumerate(diffs):
+        _step_powers(a, degree).take(tables.runs, axis=0, out=scale, mode="clip")
+        for c in (0, 1):
+            prev = snapshots[2 * t + c]
+            work.take(kept, axis=0, out=prev, mode="clip")
+            words = work[tables.words[c]]
+            _chen_step(words, prev, scale, tables.sources[c], tables.blocks, terms)
+    cache = (x.shape, diffs, snapshots, degree)
+    del scale, terms  # freed before the result is laid out, which copies work twice
+    sig = np.ascontiguousarray(work[tables.flat].T)
     if single:
         return sig[0], cache
     return sig, cache
@@ -187,37 +275,39 @@ def _leadlag_forward(series: np.ndarray, degree: int):
 def _leadlag_vjp(cache, grad_out: np.ndarray) -> np.ndarray:
     """Exact adjoint of `_leadlag_forward` with respect to the input series.
 
-    Runs in the forward's coefficient-major layout: the signature adjoint
-    is (L, B) and the step adjoint (2(n-1), B).
+    Runs coefficient-major in the flat layout: the signature adjoint is
+    (L, B) and the step adjoint (2(n-1), B). A step's adjoint gathers,
+    in run-block order, the adjoint of every `_run_tables` destination.
+    Run r's sources are the first n_r coefficients, so the adjoint of the
+    signature before the step takes each run as one prefix add, in run
+    order, as the forward adds.
     """
-    (bshape, steps, coords, snapshots, degree) = cache
+    (bshape, diffs, snapshots, degree) = cache
     g = np.asarray(grad_out, dtype=np.float64)
     single = g.ndim == 1
     if single:
         g = g[np.newaxis, :]
-    tables = _run_tables(degree)
-    grad_sig = np.ascontiguousarray(g.T)
-    grad_steps = np.zeros_like(steps)
+    tables = _step_tables(degree)
+    grad_sig = g.T.copy()  # updated in place, so never a view of grad_out
+    grad_steps = np.zeros((snapshots.shape[0], bshape[0]))
 
-    for t in range(steps.shape[0] - 1, -1, -1):
-        prev = snapshots[t]
-        a = steps[t]
-        per_run = tables[coords[t]]
-        grad_prev = grad_sig.copy()
-        ga = grad_steps[t]
-        coef = a  # a^r / r!
-        dcoef = np.ones_like(a)  # d(a^r / r!)/da = a^(r-1) / (r-1)!
-        for r in range(1, degree + 1):
-            dst, src = per_run[r - 1]
-            gd = grad_sig[dst]
-            # adds row by row, in word order; a pairwise sum would round differently
-            ga += (gd * prev[src] * dcoef).sum(axis=0)
-            grad_prev[src] += gd * coef
-            dcoef = coef
-            coef = coef * a / (r + 1)
-        grad_sig = grad_prev
+    for t in range(diffs.shape[0] - 1, -1, -1):
+        powers = _step_powers(diffs[t], degree)
+        scale = powers[tables.runs]  # a^r / r!
+        dscale = powers[tables.runs - 1]  # d(a^r / r!)/da = a^(r-1) / (r-1)!
+        for c in (1, 0):
+            grads = grad_sig[tables.targets[c]]
+            terms = grads * snapshots[2 * t + c][tables.rows]
+            terms *= dscale
+            ga = grad_steps[2 * t + c]
+            for start, stop in tables.blocks:
+                # adds row by row, in word order; a pairwise sum would round differently
+                ga += terms[start:stop].sum(axis=0)
+            grads *= scale
+            for start, stop in tables.blocks:
+                grad_sig[: stop - start] += grads[start:stop]
 
-    # steps repeat each series difference twice (lead move, then lag move)
+    # each series difference moves the lead coordinate, then the lag one
     grad_diffs = (grad_steps[0::2] + grad_steps[1::2]).T
     grad_x = np.zeros(bshape)
     grad_x[:, 1:] += grad_diffs
@@ -247,7 +337,10 @@ def leadlag_window_mean(series, points: int, degree: int = 5) -> np.ndarray:
     suffix is a prepend, which the step cannot do, but word reversal turns
     tensor products around and fixes every segment's exponential: running
     a block's increments backwards, each lag move before its lead move,
-    signs the reversed suffixes, and `_word_reversal` undoes that.
+    signs the reversed suffixes, and `_word_reversal` undoes that. The
+    scans run in the engine's working layout and share one `_step_powers`
+    of all increments; each stored signature is gathered back to the flat
+    layout, reversed for the suffixes, in the same gather.
     """
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
@@ -264,19 +357,24 @@ def leadlag_window_mean(series, points: int, degree: int = 5) -> np.ndarray:
     diffs[: x.shape[0] - 1] = np.diff(x)
     increments = np.ascontiguousarray(diffs.reshape(n_blocks, m).T)  # (m, n_blocks)
 
-    tables = _run_tables(degree)
+    tables = _step_tables(degree)
+    powers = _step_powers(increments, degree)  # (degree + 1, m, n_blocks), both scans
     length = sig_length(2, degree)
     prev = np.empty((sig_length(2, degree - 1), n_blocks))
+    kept = tables.flat[: prev.shape[0]]
+    scale, terms = np.empty((2, tables.runs.shape[0], n_blocks))
 
     def running(order, coords):
-        """Yield (r, signature so far) after each increment r in ``order``, all blocks at once."""
-        sig = np.zeros((length, n_blocks))
-        sig[0] = 1.0
+        """Yield (r, working signature so far) after each increment r in ``order``, all blocks."""
+        work = np.zeros((length, n_blocks))
+        work[0] = 1.0
         for r in order:
+            powers[:, r].take(tables.runs, axis=0, out=scale, mode="clip")
             for c in coords:
-                prev[...] = sig[: prev.shape[0]]
-                _chen_step(sig, prev, increments[r], tables[c])
-            yield r, sig
+                work.take(kept, axis=0, out=prev, mode="clip")
+                words = work[tables.words[c]]
+                _chen_step(words, prev, scale, tables.sources[c], tables.blocks, terms)
+            yield r, work
 
     # (L, m, n_blocks): each scan step writes L contiguous rows, and the
     # (L, m * n_blocks) view puts block q at r in column r * n_blocks + q.
@@ -285,11 +383,11 @@ def leadlag_window_mean(series, points: int, degree: int = 5) -> np.ndarray:
     suffix, prefix = np.empty((2, length, m, n_blocks))
     prefix[:, 0] = 0.0
     prefix[0, 0] = 1.0  # no increments yet: the identity
-    for r, sig in running(range(m - 1), (0, 1)):
-        prefix[:, r + 1] = sig
-    reversal = _word_reversal(degree)
-    for r, sig in running(range(m - 1, -1, -1), (1, 0)):
-        suffix[:, r] = sig[reversal]
+    for r, work in running(range(m - 1), (0, 1)):
+        prefix[:, r + 1] = work[tables.flat]
+    reversal = tables.flat[_word_reversal(degree)]
+    for r, work in running(range(m - 1, -1, -1), (1, 0)):
+        suffix[:, r] = work[reversal]
     starts = np.arange(n_blocks) * m + np.arange(m)[:, None]  # window start q*m + r
     suffix[:, starts >= n_windows] = 0.0
 

@@ -16,6 +16,12 @@ piecewise-linear path. They work in any dimension, one Kronecker product
 per pair of levels, and share only the flat coefficient layout
 (`sig_length`, `level_offsets`) with the engine.
 
+`sequential_forward`, `sequential_vjp` and `sequential_window_mean` are
+the engine, its adjoint and the window mean with the Chen step taking one
+run length at a time (`sequential_chen_step`). The package's whole-run
+step must add the same products in the same order, so the tests compare
+them with `np.array_equal`.
+
 `tsum` and `comparison_node` are graph nodes only the gradient checks
 use: a scalarizer, and a node around one of the losses' plain-numpy
 comparisons.
@@ -28,7 +34,7 @@ from scipy.optimize import linprog
 
 from siggraphgan import autodiff as ad
 from siggraphgan.errors import ShapeError, SizeError
-from siggraphgan.signature import level_offsets, sig_length
+from siggraphgan.signature import _run_tables, _word_reversal, level_offsets, sig_length
 
 
 def iterated_integral_quadrature(points, word, n_nodes: int = 12) -> float:
@@ -309,3 +315,121 @@ def path_signature(path: Path | np.ndarray, degree: int) -> SignatureVector:
     for idx in range(2, pts.shape[0]):
         sig = chen_concat(sig, segment_signature(pts[idx] - pts[idx - 1], degree))
     return sig
+
+
+# ---------------------------------------------------------------------------
+# Sequential lead-lag engine: the bit-exact reference for the package's
+# ---------------------------------------------------------------------------
+#
+# The engine as it was before its Chen step moved whole runs at once: one
+# gather-multiply-add per (letter, run length), adding each word's terms in
+# run order. The package's engine must add the same products in the same
+# order, so it is compared with these functions by `np.array_equal`, not by
+# a tolerance.
+
+
+def sequential_chen_step(sig, prev, a, per_run):
+    """Append one single-coordinate segment to a coefficient-major (L, B) signature.
+
+    ``prev`` holds levels 0..degree-1 of ``sig`` from before the step, ``a``
+    the B segment magnitudes and ``per_run`` the `_run_tables` entry of the
+    segment's coordinate.
+    """
+    coef = a
+    for r, (dst, src) in enumerate(per_run, start=1):
+        sig[dst] += prev[src] * coef
+        coef = coef * a / (r + 1)
+
+
+def sequential_forward(series, degree):
+    """(B, L) lead-lag signatures of a (B, n) batch, and the cache of `sequential_vjp`."""
+    x = np.asarray(series, dtype=np.float64)
+    diffs = np.diff(x, axis=1).T
+    steps = np.repeat(diffs, 2, axis=0)
+    coords = np.tile(np.array([0, 1]), diffs.shape[0])
+    tables = _run_tables(degree)
+    sig = np.zeros((sig_length(2, degree), x.shape[0]))
+    sig[0] = 1.0
+    snapshots = np.empty((steps.shape[0], sig_length(2, degree - 1), x.shape[0]))
+    for t, a in enumerate(steps):
+        prev = snapshots[t]
+        prev[...] = sig[: prev.shape[0]]
+        sequential_chen_step(sig, prev, a, tables[coords[t]])
+    return np.ascontiguousarray(sig.T), (x.shape, steps, coords, snapshots, degree)
+
+
+def sequential_vjp(cache, grad_out):
+    """Adjoint of `sequential_forward` for a (B, L) upstream gradient."""
+    (bshape, steps, coords, snapshots, degree) = cache
+    tables = _run_tables(degree)
+    grad_sig = np.ascontiguousarray(np.asarray(grad_out, dtype=np.float64).T)
+    grad_steps = np.zeros_like(steps)
+    for t in range(steps.shape[0] - 1, -1, -1):
+        prev = snapshots[t]
+        a = steps[t]
+        per_run = tables[coords[t]]
+        grad_prev = grad_sig.copy()
+        ga = grad_steps[t]
+        coef = a  # a^r / r!
+        dcoef = np.ones_like(a)  # d(a^r / r!)/da = a^(r-1) / (r-1)!
+        for r in range(1, degree + 1):
+            dst, src = per_run[r - 1]
+            gd = grad_sig[dst]
+            # adds row by row, in word order
+            ga += (gd * prev[src] * dcoef).sum(axis=0)
+            grad_prev[src] += gd * coef
+            dcoef = coef
+            coef = coef * a / (r + 1)
+        grad_sig = grad_prev
+    grad_diffs = (grad_steps[0::2] + grad_steps[1::2]).T
+    grad_x = np.zeros(bshape)
+    grad_x[:, 1:] += grad_diffs
+    grad_x[:, :-1] -= grad_diffs
+    return grad_x
+
+
+def sequential_window_mean(series, points, degree):
+    """`leadlag_window_mean` with its prefix and suffix scans run by `sequential_chen_step`."""
+    x = np.asarray(series, dtype=np.float64)
+    m = points - 1
+    n_windows = x.shape[0] - m
+    n_blocks = (n_windows - 1) // m + 2
+    diffs = np.zeros(n_blocks * m)
+    diffs[: x.shape[0] - 1] = np.diff(x)
+    increments = np.ascontiguousarray(diffs.reshape(n_blocks, m).T)
+
+    tables = _run_tables(degree)
+    length = sig_length(2, degree)
+    prev = np.empty((sig_length(2, degree - 1), n_blocks))
+
+    def running(order, coords):
+        sig = np.zeros((length, n_blocks))
+        sig[0] = 1.0
+        for r in order:
+            for c in coords:
+                prev[...] = sig[: prev.shape[0]]
+                sequential_chen_step(sig, prev, increments[r], tables[c])
+            yield r, sig
+
+    suffix, prefix = np.empty((2, length, m, n_blocks))
+    prefix[:, 0] = 0.0
+    prefix[0, 0] = 1.0
+    for r, sig in running(range(m - 1), (0, 1)):
+        prefix[:, r + 1] = sig
+    reversal = _word_reversal(degree)
+    for r, sig in running(range(m - 1, -1, -1), (1, 0)):
+        suffix[:, r] = sig[reversal]
+    starts = np.arange(n_blocks) * m + np.arange(m)[:, None]
+    suffix[:, starts >= n_windows] = 0.0
+    suffix = suffix.reshape(length, -1)[:, :-1]
+    prefix = prefix.reshape(length, -1)[:, 1:]
+
+    offs = level_offsets(2, degree)
+    mean = np.empty(length)
+    for k in range(degree + 1):
+        level = sum(
+            (suffix[offs[i] : offs[i + 1]] @ prefix[offs[k - i] : offs[k - i + 1]].T).ravel()
+            for i in range(k + 1)
+        )
+        mean[offs[k] : offs[k + 1]] = level / n_windows
+    return mean

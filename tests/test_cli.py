@@ -215,6 +215,20 @@ class TestGenerate:
         assert cli.main(argv) == 3
         assert f"byte offset {start}" in capsys.readouterr().err
 
+    def test_malformed_config_value_exits_3(self, trained_dir, price_csv, tmp_path, capsys):
+        """A config value that does not parse fails the load at its own line."""
+        data = (trained_dir / "checkpoint.bin").read_bytes()
+        start = data.index(b"\nseq_len=") + 1
+        end = data.index(b"\n", start)
+        bad = tmp_path / "bad_config.bin"
+        bad.write_bytes(data[:start] + b"seq_len=ten" + data[end:])
+        argv = ["generate", "--checkpoint", str(bad), "--input", str(price_csv),
+                "--samples", "1", "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"byte offset {start}" in err
+        assert "seq_len" in err
+
     def test_version_mismatch_exits_5(self, tmp_path, price_csv):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"siggraphgan-checkpoint v42\njunk\n")

@@ -796,6 +796,44 @@ class TestCheckpointRoundTrip:
             load_checkpoint(path)
         assert err.value.offset == len(head)
 
+    def test_unknown_config_key_reports_its_line(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        at = lines.index(b"seed=3\n")
+        head = b"".join(lines[:at])
+        path.write_bytes(head + b"foo=1\n" + b"".join(lines[at:]))
+        with pytest.raises(CheckpointParseError, match="unknown config key 'foo'") as err:
+            load_checkpoint(path)
+        assert err.value.offset == len(head)
+
+    @pytest.mark.parametrize(
+        "line, bad, message",
+        [
+            (b"seq_len=10\n", b"seq_len=ten\n", "expects an integer"),
+            (b"dropout=0.35\n", b"dropout=lots\n", "expects a number"),
+            (b"skip_layer=true\n", b"skip_layer=yes\n", "expects true/false"),
+        ],
+        ids=["integer", "number", "boolean"],
+    )
+    def test_malformed_config_value_reports_its_line(self, tmp_path, line, bad, message):
+        path, lines = self._saved_lines(tmp_path)
+        at = lines.index(line)
+        head = b"".join(lines[:at])
+        path.write_bytes(head + bad + b"".join(lines[at + 1 :]))
+        with pytest.raises(CheckpointParseError, match=message) as err:
+            load_checkpoint(path)
+        assert err.value.offset == len(head)
+
+    def test_invalid_config_reports_stats_offset(self, tmp_path):
+        """Lines that parse one by one but fail validation together point at [stats]."""
+        path, lines = self._saved_lines(tmp_path)
+        lines[lines.index(b"disable_feedforward=false\n")] = b"disable_feedforward=true\n"
+        lines[lines.index(b"noise_features=1\n")] = b"noise_features=3\n"
+        data = b"".join(lines)
+        path.write_bytes(data)
+        with pytest.raises(CheckpointParseError, match="disable_feedforward requires") as err:
+            load_checkpoint(path)
+        assert err.value.offset == data.index(b"[stats]\n")
+
     def test_repeated_stats_token_reports_its_line(self, tmp_path):
         path, lines = self._saved_lines(tmp_path)
         at = lines.index(b"[stats]\n") + 1

@@ -213,10 +213,11 @@ class TestEngineMemory:
         no longer signs such stacks (it averages windows through
         `leadlag_window_mean`), so this pins the engine on its own. The
         batch takes 38 Chen steps at degree 5. Snapshots of levels 0..4
-        (31 rows of 20000 values per step) are 180 MiB, and the working
-        signature and the row-major result add about 10 MiB each:
-        measured 209 MiB peak on numpy 2.4. Snapshots of all 63 rows would
-        measure about 395 MiB.
+        (31 rows of 20000 values per step) are 180 MiB and the working
+        signature 10 MiB. The steps' two work buffers (57 rows each, 9 MiB
+        each) are freed before the row-major result is laid out, which
+        takes two copies of 10 MiB: measured 212 MiB peak on numpy 2.4.
+        Snapshots of all 63 rows would measure about 395 MiB.
         """
         series = np.random.default_rng(14).standard_normal((20000, 20))
         tracemalloc.start()

@@ -4,8 +4,11 @@ The forward is compared with the generic word-indexed `path_signature` of
 `lead_lag` from oracles.py, the adjoint with central finite differences, at the same
 tolerances as the fixed-input tests in test_signature.py. The window mean
 is compared with the engine applied to the stacked windows, then averaged.
-Examples come from the derandomized profile in conftest.py, so every run
-checks the same cases.
+Forward, adjoint and window mean are also compared with the sequential
+engine of oracles.py, which takes one run length at a time: the package's
+step adds the same products in the same order, so these checks demand
+equal arrays, and any reordered sum fails them. Examples come from the
+derandomized profile in conftest.py, so every run checks the same cases.
 """
 
 import numpy as np
@@ -15,7 +18,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
-from oracles import lead_lag, path_signature
+from oracles import (
+    lead_lag,
+    path_signature,
+    sequential_forward,
+    sequential_vjp,
+    sequential_window_mean,
+)
 from siggraphgan import signature as sg
 from siggraphgan.errors import ShapeError, SizeError
 
@@ -40,6 +49,23 @@ def test_batch_matches_path_signature(series, degree):
     for row, x in zip(np.atleast_2d(fast), np.atleast_2d(series)):
         reference = path_signature(lead_lag(x), degree).coefficients
         assert np.max(np.abs(row - reference)) <= 1e-11
+
+
+def assert_engine_matches_sequential_engine(series, degree, seed):
+    sig, cache = sg._leadlag_forward(series, degree)
+    batch = np.atleast_2d(series)
+    reference, reference_cache = sequential_forward(batch, degree)
+    assert np.array_equal(np.atleast_2d(sig), reference)
+    grad_out = np.random.default_rng(seed).standard_normal(sig.shape)
+    grad = sg._leadlag_vjp(cache, grad_out)
+    assert np.array_equal(
+        np.atleast_2d(grad), sequential_vjp(reference_cache, np.atleast_2d(grad_out))
+    )
+
+
+@given(series=series_batches(), degree=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_engine_matches_sequential_engine_exactly(series, degree, seed):
+    assert_engine_matches_sequential_engine(series, degree, seed)
 
 
 @given(
@@ -97,6 +123,26 @@ def test_window_mean_matches_engine(case, degree):
     assert_window_mean_matches_engine(*case, degree)
 
 
+@given(case=window_series(), degree=st.integers(1, 6))
+def test_window_mean_matches_sequential_scan_exactly(case, degree):
+    series, points = case
+    assert np.array_equal(
+        sg.leadlag_window_mean(series, points, degree),
+        sequential_window_mean(series, points, degree),
+    )
+
+
+@pytest.mark.parametrize("degree", [1, 5, 6])
+def test_wide_batches_match_sequential_engine_exactly(degree):
+    """317 series in one engine batch, and a window mean over 316 blocks."""
+    rng = np.random.default_rng(17 + degree)
+    assert_engine_matches_sequential_engine(rng.standard_normal((317, 20)), degree, degree)
+    series = rng.standard_normal(6000)
+    assert np.array_equal(
+        sg.leadlag_window_mean(series, 20, degree), sequential_window_mean(series, 20, degree)
+    )
+
+
 @pytest.mark.parametrize(
     "n, points",
     [
@@ -120,3 +166,11 @@ def test_window_mean_input_checks():
         sg.leadlag_window_mean(np.zeros(20), 1)
     with pytest.raises(SizeError):
         sg.leadlag_window_mean(np.zeros(19), 20)
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+def test_degree_below_one_rejected(degree):
+    with pytest.raises(ShapeError, match="degree"):
+        sg.leadlag_signature_batch(np.zeros((2, 5)), degree)
+    with pytest.raises(ShapeError, match="degree"):
+        sg.leadlag_window_mean(np.zeros(20), 5, degree)
