@@ -196,19 +196,14 @@ def affine(x, w, b) -> Tensor:
 # -- concatenation and nonlinearities ---------------------------------------
 
 
-def concat(tensors, axis: int = -1) -> Tensor:
+def concat(tensors) -> Tensor:
+    """Concatenation along the last axis."""
     tensors = [as_tensor(t) for t in tensors]
-    value = np.concatenate([t.value for t in tensors], axis=axis)
-    sizes = [t.value.shape[axis] for t in tensors]
-    bounds = np.cumsum([0] + sizes)
+    value = np.concatenate([t.value for t in tensors], axis=-1)
+    bounds = np.cumsum([0] + [t.value.shape[-1] for t in tensors])
 
     def make_vjp(i):
-        def vjp(g):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(bounds[i], bounds[i + 1])
-            return g[tuple(index)]
-
-        return vjp
+        return lambda g: g[..., bounds[i] : bounds[i + 1]]
 
     return from_op(value, [(t, make_vjp(i)) for i, t in enumerate(tensors)], "concat")
 
@@ -219,10 +214,10 @@ def tanh(a) -> Tensor:
     return from_op(y, [(a, lambda g: g * (1.0 - y * y))], "tanh")
 
 
-def prelu(a, alpha: float = 0.25) -> Tensor:
-    """Elementwise max(0, x) + alpha * min(0, x)."""
+def prelu(a) -> Tensor:
+    """Elementwise max(0, x) + 0.25 * min(0, x)."""
     a = as_tensor(a)
-    slope = np.where(a.value > 0.0, 1.0, alpha)
+    slope = np.where(a.value > 0.0, 1.0, 0.25)
     return from_op(a.value * slope, [(a, lambda g: g * slope)], "prelu")
 
 

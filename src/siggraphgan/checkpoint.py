@@ -2,9 +2,9 @@
 
 Layout (all header lines are UTF-8, newline-terminated):
 
-    siggraphgan-checkpoint v1
+    siggraphgan-checkpoint v2
     [config]
-    <key>=<value>           (one line per config field)
+    <key>=<value>           (one line per config field, 19 in all)
     [stats]
     mean=<repr> std=<repr> delta=<repr>
     [params]
@@ -16,12 +16,16 @@ Layout (all header lines are UTF-8, newline-terminated):
     [end]
 
 Parameter payloads are exact float64 bytes, so a save/load round trip
-reproduces forward passes bit for bit. A config line with an unknown key,
-a repeated key or a malformed value fails the parse at that line's byte
-offset; missing config keys, and a config that fails validation as a
-whole, fail it at the ``[stats]`` line's. Stats lines fail likewise at
-their own offset. A wrong version line is rejected before anything else
-is read.
+reproduces forward passes bit for bit. A header line that does not
+decode, a section line that is not the one expected there, a config line
+with an unknown key, a repeated key or a malformed value, a negative
+parameter count, and a parameter whose element count does not match its
+shape or whose payload is not finite fail the parse at the offset of
+their own line (for a parameter, its ``param`` line). Missing config
+keys, and a config that fails validation as a whole, fail it at the
+``[stats]`` line's. Stats lines fail likewise at their own offset, and
+any byte after ``[end]`` at its own. A wrong version line is rejected
+before anything else is read.
 """
 
 from __future__ import annotations
@@ -41,15 +45,9 @@ from .errors import (
 )
 from .ioutil import atomic_write_bytes
 from .preprocess import PreprocessStats
-from .siggan import (
-    SigGanConfig,
-    SigGraphGan,
-    config_from_items,
-    config_to_items,
-    parse_config_items,
-)
+from .siggan import SigGanConfig, SigGraphGan, config_to_items, parse_config_value
 
-FORMAT_VERSION = "siggraphgan-checkpoint v1"
+FORMAT_VERSION = "siggraphgan-checkpoint v2"
 
 
 @dataclass
@@ -169,15 +167,21 @@ class _Reader:
         self.pos = 0
 
     def line(self) -> str:
-        end = self.data.find(b"\n", self.pos)
+        start = self.pos
+        end = self.data.find(b"\n", start)
         if end < 0:
-            raise CheckpointParseError("unexpected end of file", self.pos)
-        raw = self.data[self.pos : end]
+            raise CheckpointParseError("unexpected end of file", start)
         self.pos = end + 1
         try:
-            return raw.decode("utf-8")
+            return self.data[start:end].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise CheckpointParseError(f"undecodable header line: {exc}", self.pos) from exc
+            raise CheckpointParseError(f"undecodable header line: {exc}", start) from exc
+
+    def expect(self, marker: str):
+        """Read one line that must read ``marker``."""
+        start = self.pos
+        if self.line() != marker:
+            raise CheckpointParseError(f"missing {marker} line", start)
 
     def raw(self, count: int) -> bytes:
         if self.pos + count > len(self.data):
@@ -201,9 +205,8 @@ def load_checkpoint(path) -> Checkpoint:
             f"unsupported checkpoint version {version!r}; expected {FORMAT_VERSION!r}"
         )
 
-    if reader.line() != "[config]":
-        raise CheckpointParseError("missing [config] section", reader.pos)
-    items: dict[str, str] = {}
+    reader.expect("[config]")
+    kwargs = {}
     while True:
         mark = reader.pos
         line = reader.line()
@@ -211,19 +214,18 @@ def load_checkpoint(path) -> Checkpoint:
             break
         if "=" not in line:
             raise CheckpointParseError(f"malformed config line {line!r}", mark)
-        key, _, value = line.partition("=")
-        if key in items:
+        key, _, text = line.partition("=")
+        if key in kwargs:
             raise CheckpointParseError(f"repeated config key {key!r}", mark)
         try:
-            parse_config_items({key: value})
+            kwargs[key] = parse_config_value(key, text)
         except ConfigError as exc:
             raise CheckpointParseError(f"bad config line: {exc}", mark) from exc
-        items[key] = value
-    missing = [f.name for f in fields(SigGanConfig) if f.name not in items]
+    missing = [f.name for f in fields(SigGanConfig) if f.name not in kwargs]
     if missing:
         raise CheckpointParseError(f"config lacks keys {missing}", mark)
     try:
-        config = config_from_items(items)
+        config = SigGanConfig(**kwargs)
     except ConfigError as exc:
         raise CheckpointParseError(f"invalid config: {exc}", mark) from exc
 
@@ -245,8 +247,7 @@ def load_checkpoint(path) -> Checkpoint:
     except (TypeError, DomainError) as exc:
         raise CheckpointParseError(f"bad stats line: {exc}", mark) from exc
 
-    if reader.line() != "[params]":
-        raise CheckpointParseError("missing [params] section", reader.pos)
+    reader.expect("[params]")
 
     groups: dict[str, list[tuple[str, np.ndarray]]] = {}
     for expected in ("generator", "discriminator"):
@@ -260,6 +261,8 @@ def load_checkpoint(path) -> Checkpoint:
             count = int(header[2])
         except ValueError as exc:
             raise CheckpointParseError("bad parameter count", mark) from exc
+        if count < 0:
+            raise CheckpointParseError(f"negative parameter count {count}", mark)
         params = []
         for _ in range(count):
             mark = reader.pos
@@ -277,16 +280,17 @@ def load_checkpoint(path) -> Checkpoint:
             (size,) = struct.unpack("<Q", reader.raw(8))
             expected_size = int(np.prod(dims, dtype=np.int64)) if dims else 1
             if size != expected_size:
-                raise CheckpointParseError(
-                    f"element count {size} does not match shape {dims}", reader.pos
-                )
+                raise CheckpointParseError(f"element count {size} does not match shape {dims}", mark)
             payload = reader.raw(8 * size)
             value = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
+            if not np.isfinite(value).all():
+                raise CheckpointParseError(f"non-finite values in parameter {name!r}", mark)
             params.append((name, value))
         groups[expected] = params
 
-    if reader.line() != "[end]":
-        raise CheckpointParseError("missing [end] marker", reader.pos)
+    reader.expect("[end]")
+    if reader.pos != len(data):
+        raise CheckpointParseError("bytes after [end]", reader.pos)
 
     return Checkpoint(
         config=config,

@@ -31,7 +31,7 @@ from .errors import (
 from .ioutil import atomic_write_text
 from .metrics import build_report
 from .preprocess import load_price_csv, log_returns, prepare_training_returns
-from .siggan import ABLATION_COMPONENTS, SigGanConfig, generate, parse_config_items, train
+from .siggan import ABLATION_COMPONENTS, SigGanConfig, generate, parse_config_value, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,27 +43,26 @@ BASELINE_CHOICES = ("garch", "gbm")
 
 HISTOGRAM_HORIZONS = (1, 5, 10)
 
-_RUN_KEY_DEFAULTS = {
-    "input": None,
-    "output_dir": ".",
-    "baseline": None,
-    "n_samples": 200,
-}
 
-
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Model config plus file paths and run-level knobs."""
 
     model: SigGanConfig
-    input: str | None
-    output_dir: str
-    baseline: str | None
-    n_samples: int
+    input: str | None = None
+    output_dir: str = "."
+    baseline: str | None = None
+    n_samples: int = 200
 
 
-def parse_run_config(path) -> RunConfig:
-    """Read a flat key=value config file; unknown keys are rejected."""
+_RUN_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "model")
+
+
+def parse_run_config(path, seed: int | None = None) -> RunConfig:
+    """Read a flat key=value config file; unknown keys are rejected.
+
+    A ``seed`` that is not None replaces the file's seed.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -85,37 +84,33 @@ def parse_run_config(path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         items[key] = value
 
-    run_items = {k: items.pop(k) for k in list(items) if k in _RUN_KEY_DEFAULTS}
+    run_items = {k: items.pop(k) for k in list(items) if k in _RUN_KEYS}
 
     # the loss kind selects the preset defaults; explicit keys then override
     loss_kind = items.pop("loss_kind", "mse")
-    model = SigGanConfig.for_loss(loss_kind, **parse_config_items(items))
+    overrides = {key: parse_config_value(key, text) for key, text in items.items()}
+    if seed is not None:
+        overrides["seed"] = seed
+    model = SigGanConfig.for_loss(loss_kind, **overrides)
 
     baseline = run_items.get("baseline")
     if baseline is not None and baseline not in BASELINE_CHOICES:
         raise ConfigError(
             f"config key 'baseline' must be one of {BASELINE_CHOICES}, got {baseline!r}"
         )
-    try:
-        n_samples = int(run_items.get("n_samples", _RUN_KEY_DEFAULTS["n_samples"]))
-    except ValueError as exc:
-        raise ConfigError(f"bad integer in run config: {exc}") from exc
-    if n_samples < 0:
-        raise ConfigError("n_samples must be >= 0")
-    return RunConfig(
-        model=model,
-        input=run_items.get("input"),
-        output_dir=run_items.get("output_dir", "."),
-        baseline=baseline,
-        n_samples=n_samples,
-    )
+    if "n_samples" in run_items:
+        try:
+            run_items["n_samples"] = int(run_items["n_samples"])
+        except ValueError as exc:
+            raise ConfigError(f"bad integer in run config: {exc}") from exc
+        if run_items["n_samples"] < 0:
+            raise ConfigError("n_samples must be >= 0")
+    return RunConfig(model=model, **run_items)
 
 
 def _require_input(run: RunConfig) -> str:
     if not run.input:
         raise ConfigError("config key 'input' (price CSV path) is required")
-    if not os.path.exists(run.input):
-        raise DataError(f"input file not found: {run.input}")
     return run.input
 
 
@@ -191,18 +186,18 @@ def _histogram_csv_text(real: np.ndarray, fake: np.ndarray, bins: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_report_files(real, fake, out_dir, bins, prefix=""):
+def _write_report_files(real, fake, out_dir, bins):
     from .metrics import k_day_aggregate
 
     report = build_report(real, fake)
     os.makedirs(out_dir, exist_ok=True)
-    atomic_write_text(os.path.join(out_dir, f"{prefix}report.csv"), report.to_csv_text())
-    atomic_write_text(os.path.join(out_dir, f"{prefix}report.txt"), report.to_table_text())
+    atomic_write_text(os.path.join(out_dir, "report.csv"), report.to_csv_text())
+    atomic_write_text(os.path.join(out_dir, "report.txt"), report.to_table_text())
     for k in HISTOGRAM_HORIZONS:
         text = _histogram_csv_text(
             k_day_aggregate(real, k), k_day_aggregate(fake, k), bins
         )
-        atomic_write_text(os.path.join(out_dir, f"{prefix}hist_k{k}.csv"), text)
+        atomic_write_text(os.path.join(out_dir, f"hist_k{k}.csv"), text)
     return report
 
 
@@ -210,9 +205,7 @@ def _write_report_files(real, fake, out_dir, bins, prefix=""):
 
 
 def cmd_train(args) -> int:
-    run = parse_run_config(args.config)
-    if args.seed is not None:
-        run.model = dataclasses.replace(run.model, seed=args.seed)
+    run = parse_run_config(args.config, args.seed)
     prices = load_price_csv(_require_input(run))
     gaussianized, stats = prepare_training_returns(prices)
     result = train(gaussianized, run.model, stats)
@@ -229,8 +222,6 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
-    if not os.path.exists(args.input):
-        raise DataError(f"input file not found: {args.input}")
     conditioning = log_returns(load_price_csv(args.input)).values
     samples = generate(checkpoint, conditioning, args.samples, seed=args.seed or 0)
     atomic_write_text(args.out, _samples_csv_text(samples))
@@ -249,9 +240,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    run = parse_run_config(args.config)
-    if args.seed is not None:
-        run.model = dataclasses.replace(run.model, seed=args.seed)
+    run = parse_run_config(args.config, args.seed)
     components = [c for c in (args.components or "").split(",") if c]
     # ablated() rejects an unknown component before any I/O or training
     variants = [("baseline", run.model)]
@@ -282,13 +271,12 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    run = parse_run_config(args.config)
+    run = parse_run_config(args.config, args.seed)
     if run.baseline is None:
         raise ConfigError(f"config key 'baseline' (one of {BASELINE_CHOICES}) is required")
-    seed = args.seed if args.seed is not None else run.model.seed
     prices = load_price_csv(_require_input(run))
     seq_len = run.model.seq_len
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(run.model.seed)))
 
     if run.baseline == "garch":
         returns = log_returns(prices).values

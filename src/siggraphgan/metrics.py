@@ -30,6 +30,10 @@ HORIZONS = (1, 5, 20, 100)
 # lead-lag path length is identical across horizons.
 SIG_WINDOW_POINTS = 20
 
+# The leverage profile correlates returns with squared returns this many
+# steps later, for each lag from 1 up.
+LEVERAGE_LAGS = 10
+
 REPORT_LABELS = (
     "EMD(1)",
     "EMD(5)",
@@ -85,17 +89,17 @@ def expected_leadlag_signature(series, points: int, degree: int = 5) -> np.ndarr
     return leadlag_window_mean(series, points, degree)
 
 
-def leverage_profile(returns, tau_max: int = 10) -> np.ndarray:
-    """Correlation of returns with future squared returns, lags 1..tau_max."""
+def leverage_profile(returns) -> np.ndarray:
+    """Correlation of returns with future squared returns, lags 1..LEVERAGE_LAGS."""
     r = np.asarray(returns, dtype=np.float64)
-    if r.shape[0] < tau_max + 30:
+    if r.shape[0] < LEVERAGE_LAGS + 30:
         raise SizeError(
-            f"leverage profile needs at least tau_max + 30 = {tau_max + 30} "
+            f"leverage profile needs at least {LEVERAGE_LAGS + 30} "
             f"returns, got {r.shape[0]}"
         )
-    out = np.empty(tau_max)
+    out = np.empty(LEVERAGE_LAGS)
     squared = r * r
-    for tau in range(1, tau_max + 1):
+    for tau in range(1, LEVERAGE_LAGS + 1):
         a = r[:-tau]
         b = squared[tau:]
         sa = a.std()
@@ -106,10 +110,10 @@ def leverage_profile(returns, tau_max: int = 10) -> np.ndarray:
     return out
 
 
-def leverage_effect_score(real_returns, fake_returns, tau_max: int = 10) -> float:
+def leverage_effect_score(real_returns, fake_returns) -> float:
     """Root-mean-square gap between the two leverage profiles."""
-    real = leverage_profile(real_returns, tau_max)
-    fake = leverage_profile(fake_returns, tau_max)
+    real = leverage_profile(real_returns)
+    fake = leverage_profile(fake_returns)
     return float(np.sqrt(np.mean((real - fake) ** 2)))
 
 
@@ -123,9 +127,6 @@ class MetricsReport:
         for label in REPORT_LABELS:
             if label not in self.values:
                 raise ShapeError(f"report is missing metric {label!r}")
-
-    def display_value(self, label: str) -> float:
-        return self.values[label] * 100.0
 
     def to_csv_text(self) -> str:
         lines = ["metric,raw,display_x100"]

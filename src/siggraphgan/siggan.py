@@ -20,7 +20,6 @@ descends it, alternating one step each per batch under RMSProp.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import accumulate
@@ -48,7 +47,6 @@ GENERATE_THREADS = 2
 # limit and the degree-5 signature terms amplify that polynomially.
 DISC_TRUST_RADIUS = 0.01
 
-LOSS_KINDS = ("mse", "kld")
 GRAPH_DIRECTIONS = ("undirected", "left_to_right")
 
 # Config changes that remove one architectural component, for ablations
@@ -57,29 +55,18 @@ _ABLATIONS = {
     "recurrent": {"disable_recurrent": True},
     "feedforward": {"disable_feedforward": True},
     "skip": {"skip_layer": False},
-    "dropout": {"disable_dropout": True},
+    "dropout": {"dropout": 0.0},
 }
 ABLATION_COMPONENTS = tuple(_ABLATIONS)
 
-# Tuned defaults per loss kind: batch size, learning rate, (gnn, geometric
-# lstm, recurrent lstm) widths, (gnn, recurrent lstm) depths, dropout.
+# Tuned defaults per loss kind, where they differ from the field defaults
+# of `SigGanConfig`, which hold the mse preset: learning rate, (gnn,
+# geometric lstm) widths, (gnn, recurrent lstm) depths, dropout.
 _PRESETS = {
-    "mse": dict(
-        batch_size=30,
-        learning_rate=0.000797,
-        gnn_neurons=190,
-        geo_lstm_neurons=120,
-        rec_lstm_neurons=190,
-        gnn_layers=3,
-        rec_lstm_layers=7,
-        dropout=0.31,
-    ),
     "kld": dict(
-        batch_size=30,
         learning_rate=0.000221,
         gnn_neurons=110,
         geo_lstm_neurons=70,
-        rec_lstm_neurons=190,
         gnn_layers=2,
         rec_lstm_layers=4,
         dropout=0.35,
@@ -87,9 +74,13 @@ _PRESETS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SigGanConfig:
-    """Architecture, loss, and training-loop settings."""
+    """Architecture, loss, and training-loop settings.
+
+    Frozen, and checked when built: a config that exists is valid, and
+    `dataclasses.replace` checks the copy again.
+    """
 
     loss_kind: str = "mse"
     batch_size: int = 30
@@ -109,23 +100,13 @@ class SigGanConfig:
     disable_geometric: bool = False
     disable_recurrent: bool = False
     disable_feedforward: bool = False
-    disable_dropout: bool = False
     seed: int = 0
 
-    @classmethod
-    def for_loss(cls, loss_kind: str, **overrides) -> "SigGanConfig":
-        """Config preloaded with the tuned defaults of one loss kind."""
-        if loss_kind not in _PRESETS:
-            raise ConfigError(f"unknown loss kind {loss_kind!r}; use one of {LOSS_KINDS}")
-        merged = dict(_PRESETS[loss_kind], loss_kind=loss_kind)
-        merged.update(overrides)
-        cfg = cls(**merged)
-        cfg.validate()
-        return cfg
-
-    def validate(self):
-        if self.loss_kind not in LOSS_KINDS:
-            raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
+    def __post_init__(self):
+        if self.loss_kind not in LOSS_FUNCTIONS:
+            raise ConfigError(
+                f"loss_kind must be one of {tuple(LOSS_FUNCTIONS)}, got {self.loss_kind!r}"
+            )
         if self.graph_direction not in GRAPH_DIRECTIONS:
             raise ConfigError(
                 f"graph_direction must be one of {GRAPH_DIRECTIONS}, "
@@ -133,8 +114,8 @@ class SigGanConfig:
             )
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < float("inf"):
+            raise ConfigError("learning_rate must be positive and finite")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
         if self.seq_len < 2:
@@ -145,6 +126,8 @@ class SigGanConfig:
             raise ConfigError("sig_degree must be >= 1")
         if self.noise_features < 1:
             raise ConfigError("noise_features must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         for name in ("gnn_neurons", "geo_lstm_neurons", "rec_lstm_neurons",
                      "gnn_layers", "rec_lstm_layers"):
             if getattr(self, name) < 1:
@@ -155,9 +138,10 @@ class SigGanConfig:
                 "summed block output is already a single feature"
             )
 
-    @property
-    def effective_dropout(self) -> float:
-        return 0.0 if self.disable_dropout else self.dropout
+    @classmethod
+    def for_loss(cls, loss_kind: str, **overrides) -> "SigGanConfig":
+        """Config preloaded with the tuned defaults of one loss kind."""
+        return cls(loss_kind=loss_kind, **{**_PRESETS.get(loss_kind, {}), **overrides})
 
     def ablated(self, component: str) -> "SigGanConfig":
         """Copy of this config with one architectural component removed."""
@@ -166,9 +150,7 @@ class SigGanConfig:
                 f"unknown ablation component {component!r}; "
                 f"expected one of {ABLATION_COMPONENTS}"
             )
-        cfg = replace(self, **_ABLATIONS[component])
-        cfg.validate()
-        return cfg
+        return replace(self, **_ABLATIONS[component])
 
 
 def config_to_items(cfg: SigGanConfig) -> list[tuple[str, str]]:
@@ -186,39 +168,26 @@ def config_to_items(cfg: SigGanConfig) -> list[tuple[str, str]]:
     return items
 
 
-def parse_config_items(items: dict[str, str]) -> dict:
-    """Typed values of textual config items; unknown keys are rejected."""
-    kwargs = {}
-    known = {f.name: f.type for f in fields(SigGanConfig)}
-    defaults = SigGanConfig()
-    for key, text in items.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-        current = getattr(defaults, key)
-        if isinstance(current, bool):
-            if text.lower() not in ("true", "false"):
-                raise ConfigError(f"config key {key!r} expects true/false, got {text!r}")
-            kwargs[key] = text.lower() == "true"
-        elif isinstance(current, int):
-            try:
-                kwargs[key] = int(text)
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r} expects an integer, got {text!r}") from exc
-        elif isinstance(current, float):
-            try:
-                kwargs[key] = float(text)
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r} expects a number, got {text!r}") from exc
-        else:
-            kwargs[key] = text
-    return kwargs
+# each field's type, read from its default
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(SigGanConfig)}
 
 
-def config_from_items(items: dict[str, str]) -> SigGanConfig:
-    """Inverse of `config_to_items`; unknown keys are rejected."""
-    cfg = SigGanConfig(**parse_config_items(items))
-    cfg.validate()
-    return cfg
+def parse_config_value(key: str, text: str):
+    """Typed value of one textual config item; an unknown key is rejected."""
+    kind = _FIELD_TYPES.get(key)
+    if kind is None:
+        raise ConfigError(f"unknown config key {key!r}")
+    if kind is bool:
+        if text.lower() not in ("true", "false"):
+            raise ConfigError(f"config key {key!r} expects true/false, got {text!r}")
+        return text.lower() == "true"
+    if kind is str:
+        return text
+    try:
+        return kind(text)
+    except ValueError as exc:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key {key!r} expects {expected}, got {text!r}") from exc
 
 
 # -- signature losses ---------------------------------------------------------
@@ -383,7 +352,7 @@ class RecurrentBlock:
         h = x
         for lstm in self.lstms:
             h = lstm(h)
-            h = ad.dropout(h, self.cfg.effective_dropout, rng)
+            h = ad.dropout(h, self.cfg.dropout, rng)
         return self.head(h)
 
 
@@ -409,7 +378,7 @@ class GeometricBlock:
         h = x
         for theta in self.thetas:
             h = ly.gcn_apply(h, norm_adjacency, theta)
-            h = ad.dropout(h, self.cfg.effective_dropout, rng)
+            h = ad.dropout(h, self.cfg.dropout, rng)
         h = self.lstm(h)
         return self.head(h)
 
@@ -484,7 +453,7 @@ class GanNetwork:
         if self.feedforward is None:
             return total
         if self.cfg.skip_layer:
-            total = ad.concat([total, x], axis=-1)
+            total = ad.concat([total, x])
         return self.feedforward.forward(total)
 
 
@@ -500,7 +469,6 @@ class SigGraphGan:
 
     def __init__(self, cfg: SigGanConfig, seed_seq: np.random.SeedSequence | None = None,
                  inits=None):
-        cfg.validate()
         self.cfg = cfg
         if inits is None:
             if seed_seq is None:
@@ -561,7 +529,6 @@ def train(returns, cfg: SigGanConfig, stats: PreprocessStats | None = None) -> T
     """
     from .checkpoint import Checkpoint  # local import to avoid a cycle
 
-    cfg.validate()
     values = np.asarray(returns, dtype=np.float64)
     if values.ndim != 1:
         raise ShapeError("train expects a one-dimensional return series")
@@ -663,6 +630,8 @@ def generate(
     stats = checkpoint.stats
     if n_samples < 0:
         raise ConfigError("n_samples must be >= 0")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     model = checkpoint.build_generator()
     for p in model.generator.parameters():
         p.requires_grad = False  # no backward follows, so ops keep no graph
@@ -694,7 +663,7 @@ def generate(
         fake = model.generator_forward(noise[rows], adjs)
         outputs[rows] = fake.value[:, :, 0]
 
-    workers = min(GENERATE_THREADS, _usable_cores(), len(sizes))
+    workers = min(GENERATE_THREADS, len(sizes))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for _ in pool.map(run_chunk, starts, sizes):
             pass  # reading each result re-raises a chunk's error here
@@ -713,9 +682,3 @@ def generate_chunks(n_samples: int) -> list[int]:
     base, extra = divmod(n_samples, chunks)
     return [base + 1] * extra + [base] * (chunks - extra)
 
-
-def _usable_cores() -> int:
-    """Cores this process may run on (all cores where affinity is unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +9,8 @@ import numpy as np
 import pytest
 
 from siggraphgan import cli
-from siggraphgan.checkpoint import load_checkpoint
-from siggraphgan.errors import CheckpointParseError
+from siggraphgan.checkpoint import load_checkpoint, save_checkpoint
+from siggraphgan.errors import CheckpointParseError, CheckpointVersionError
 from siggraphgan.fixture import fixture_csv_text
 
 
@@ -53,6 +55,21 @@ def trained_dir(tmp_path_factory, price_csv):
     return out
 
 
+def generate_argv(checkpoint, price_csv, tmp_path):
+    return ["generate", "--checkpoint", str(checkpoint), "--input", str(price_csv),
+            "--samples", "1", "--out", str(tmp_path / "x.csv")]
+
+
+def test_readme_config_example_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "run.cfg"
+    path.write_text(example)
+    run = cli.parse_run_config(path)
+    assert (run.model.seq_len, run.model.epochs, run.model.seed) == (20, 10, 11)
+    assert run.n_samples == 200
+
+
 class TestTrain:
     def test_writes_checkpoint_and_trace(self, trained_dir):
         assert (trained_dir / "checkpoint.bin").exists()
@@ -65,6 +82,12 @@ class TestTrain:
         write_config(cfg, tmp_path / "nope.csv", tmp_path)
         assert cli.main(["train", "--config", str(cfg)]) == 3
         assert "nope.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [[], ["--seed", "-1"]])
+    def test_negative_seed_exits_2(self, tmp_path, price_csv, capsys, flag):
+        cfg = write_config(tmp_path / "run.cfg", price_csv, tmp_path, seed=-1 if not flag else 5)
+        assert cli.main(["train", "--config", str(cfg)] + flag) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_unknown_key_exits_2_naming_key(self, tmp_path, price_csv, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -228,6 +251,55 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert f"byte offset {start}" in err
         assert "seq_len" in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameter_exits_3(self, trained_dir, price_csv, tmp_path, capsys,
+                                          value):
+        """A corrupt payload fails the load at its param line, not inside a forward."""
+        data = (trained_dir / "checkpoint.bin").read_bytes()
+        start = data.index(b"\nparam ") + 1
+        payload = data.index(b"\n", start) + 1 + 8  # after the element count
+        bad = tmp_path / "bad_param.bin"
+        bad.write_bytes(data[:payload] + struct.pack("<d", value) + data[payload + 8 :])
+        with pytest.raises(CheckpointParseError, match="non-finite") as info:
+            load_checkpoint(bad)
+        assert info.value.offset == start
+        assert cli.main(generate_argv(bad, price_csv, tmp_path)) == 3
+        assert f"byte offset {start}" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, trained_dir, price_csv, tmp_path, capsys):
+        argv = generate_argv(trained_dir / "checkpoint.bin", price_csv, tmp_path)
+        assert cli.main(argv + ["--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_bytes_after_end_exit_3(self, trained_dir, price_csv, tmp_path, capsys):
+        data = (trained_dir / "checkpoint.bin").read_bytes()
+        bad = tmp_path / "trailing.bin"
+        bad.write_bytes(data + b"junk\n")
+        assert cli.main(generate_argv(bad, price_csv, tmp_path)) == 3
+        assert f"byte offset {len(data)}" in capsys.readouterr().err
+
+    def test_degaussianize_overflow_exits_4(self, trained_dir, price_csv, tmp_path, capsys):
+        ckpt = load_checkpoint(trained_dir / "checkpoint.bin")
+        ckpt.stats = dataclasses.replace(ckpt.stats, delta=5.0)
+        ckpt.generator_params = [
+            (name, np.full_like(value, 20.0) if name == "gen.ff.fc3.bias" else value)
+            for name, value in ckpt.generator_params
+        ]
+        bad = tmp_path / "overflow.bin"
+        save_checkpoint(ckpt, bad)
+        assert cli.main(generate_argv(bad, price_csv, tmp_path)) == 4
+        assert "numeric error: degaussianize overflow" in capsys.readouterr().err
+
+    def test_first_format_version_exits_5(self, trained_dir, price_csv, tmp_path):
+        """A file in the first format, whose config echo had 20 lines, is refused by version."""
+        data = (trained_dir / "checkpoint.bin").read_bytes()
+        body = data.split(b"\n", 1)[1].replace(b"\nseed=", b"\ndisable_dropout=false\nseed=", 1)
+        old = tmp_path / "v1.bin"
+        old.write_bytes(b"siggraphgan-checkpoint v1\n" + body)
+        with pytest.raises(CheckpointVersionError):
+            load_checkpoint(old)
+        assert cli.main(generate_argv(old, price_csv, tmp_path)) == 5
 
     def test_version_mismatch_exits_5(self, tmp_path, price_csv):
         bad = tmp_path / "bad.bin"

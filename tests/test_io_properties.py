@@ -2,22 +2,27 @@
 
 A checkpoint cut short at any byte raises `CheckpointParseError`; every
 offset inside the header is tried, and drawn offsets cover the payloads.
-The CLI, fed arbitrary bytes as a config file or as either CSV of
-`evaluate`, exits only with 2 (configuration error) or 3 (data error):
-never 0, never a traceback. Examples come from the derandomized profile
-in conftest.py, so every run checks the same cases.
+Any config that can be built survives a checkpoint's config echo, and one
+outside the rules cannot be built. The CLI, fed arbitrary bytes as a
+config file or as either CSV of `evaluate`, exits only with 2
+(configuration error) or 3 (data error): never 0, never a traceback. A
+failed atomic write leaves the old file and no temporary file. Examples
+come from the derandomized profile in conftest.py, so every run checks the
+same cases.
 """
+
+import io
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from siggraphgan import cli
+from siggraphgan import cli, ioutil
 from siggraphgan.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from siggraphgan.errors import CheckpointParseError
+from siggraphgan.errors import CheckpointParseError, ConfigError
 from siggraphgan.fixture import fixture_csv_text
 from siggraphgan.preprocess import PreprocessStats
-from siggraphgan.siggan import SigGanConfig, SigGraphGan
+from siggraphgan.siggan import GRAPH_DIRECTIONS, LOSS_FUNCTIONS, SigGanConfig, SigGraphGan
 
 # At most this many bytes follow a CSV header. A report needs 119 returns,
 # so no CSV this short is valid input, and every outcome is an error.
@@ -63,6 +68,79 @@ def test_truncated_header_rejected_at_every_offset(checkpoint_bytes, workdir):
 def test_truncated_checkpoint_rejected(checkpoint_bytes, workdir, fraction):
     offset = int(fraction * len(checkpoint_bytes))
     assert_truncation_rejected(checkpoint_bytes, offset, workdir / "cut.bin")
+
+
+POSITIVE = ("batch_size", "gnn_neurons", "geo_lstm_neurons", "rec_lstm_neurons",
+            "gnn_layers", "rec_lstm_layers", "sig_degree", "noise_features")
+
+# every field drawn within the rules SigGanConfig checks when it is built
+VALID_FIELDS = st.fixed_dictionaries({
+    "loss_kind": st.sampled_from(sorted(LOSS_FUNCTIONS)),
+    "learning_rate": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "dropout": st.floats(0.0, 1.0, exclude_max=True),
+    "seq_len": st.integers(min_value=2),
+    "graph_direction": st.sampled_from(GRAPH_DIRECTIONS),
+    "epochs": st.integers(min_value=0),
+    "skip_layer": st.booleans(),
+    "disable_geometric": st.booleans(),
+    "disable_recurrent": st.booleans(),
+    "disable_feedforward": st.booleans(),
+    "seed": st.integers(min_value=0),
+    **{name: st.integers(min_value=1) for name in POSITIVE},
+}).map(lambda d: {**d, "noise_features": 1} if d["disable_feedforward"] else d)
+
+# changes that each break one rule
+OUTSIDE_RULES = st.one_of(
+    st.text().filter(lambda t: t not in LOSS_FUNCTIONS).map(lambda t: {"loss_kind": t}),
+    st.text().filter(lambda t: t not in GRAPH_DIRECTIONS).map(
+        lambda t: {"graph_direction": t}),
+    st.one_of(st.floats(max_value=0.0), st.just(float("inf")), st.just(float("nan"))).map(
+        lambda x: {"learning_rate": x}),
+    st.one_of(st.floats(max_value=-5e-324), st.floats(min_value=1.0), st.just(float("nan"))).map(
+        lambda x: {"dropout": x}),
+    st.integers(max_value=1).map(lambda n: {"seq_len": n}),
+    st.tuples(st.sampled_from(["epochs", "seed"]), st.integers(max_value=-1)).map(
+        lambda kv: dict([kv])),
+    st.tuples(st.sampled_from(POSITIVE), st.integers(max_value=0)).map(lambda kv: dict([kv])),
+    st.integers(min_value=2).map(lambda n: {"disable_feedforward": True, "noise_features": n}),
+)
+
+
+@given(kwargs=VALID_FIELDS)
+def test_config_survives_checkpoint_echo(workdir, kwargs):
+    cfg = SigGanConfig(**kwargs)
+    path = workdir / "config.bin"
+    save_checkpoint(Checkpoint(cfg, PreprocessStats(0.0, 1.0, 0.0), [], []), path)
+    assert load_checkpoint(path).config == cfg
+
+
+@given(kwargs=VALID_FIELDS, change=OUTSIDE_RULES)
+def test_config_outside_rules_rejected(kwargs, change):
+    with pytest.raises(ConfigError):
+        SigGanConfig(**{**kwargs, **change})
+
+
+class FailingWrite(io.FileIO):
+    def write(self, data):
+        raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("step", ["write", "replace"])
+def test_failed_atomic_write_keeps_old_file(tmp_path, monkeypatch, step):
+    path = tmp_path / "artifact.csv"
+    path.write_bytes(b"old bytes")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    if step == "write":
+        monkeypatch.setattr(ioutil.os, "fdopen", lambda fd, mode: FailingWrite(fd, mode))
+    else:
+        monkeypatch.setattr(ioutil.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="no space left" if step == "write" else "rename failed"):
+        ioutil.atomic_write_bytes(path, b"new bytes")
+    assert path.read_bytes() == b"old bytes"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]
 
 
 def csv_like_bytes(header: bytes):

@@ -151,13 +151,13 @@ class TestReport:
         real = 0.01 * rng.standard_normal(300)
         fake = 0.01 * rng.standard_normal(300)
         report = mt.build_report(real, fake)
-        for label in mt.REPORT_LABELS:
-            assert report.display_value(label) == pytest.approx(
-                report.values[label] * 100.0
-            )
         csv_text = report.to_csv_text()
         assert csv_text.startswith("metric,raw,display_x100\n")
-        assert "EMD(1)," in csv_text
+        rows = [line.split(",") for line in csv_text.splitlines()[1:]]
+        assert [row[0] for row in rows] == list(mt.REPORT_LABELS)
+        for label, raw, display in rows:
+            assert float(raw) == report.values[label]
+            assert float(display) == pytest.approx(report.values[label] * 100.0)
 
     def test_values_nonnegative_and_finite(self):
         rng = np.random.default_rng(15)

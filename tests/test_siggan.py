@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 import threading
 import tracemalloc
 
@@ -95,26 +96,31 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SigGanConfig.for_loss("huber")
         with pytest.raises(ConfigError):
-            tiny_config(dropout=1.5).validate()
+            tiny_config(dropout=1.5)
         with pytest.raises(ConfigError):
-            tiny_config(graph_direction="sideways").validate()
+            tiny_config(graph_direction="sideways")
         with pytest.raises(ConfigError):
             tiny_config(disable_feedforward=True, noise_features=3)
+
+    def test_frozen(self):
+        cfg = tiny_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 1
 
     def test_ablated(self):
         cfg = tiny_config()
         assert cfg.ablated("geometric").disable_geometric
         assert not cfg.ablated("skip").skip_layer
-        assert cfg.ablated("dropout").disable_dropout
+        assert cfg.ablated("dropout").dropout == 0.0
         with pytest.raises(ConfigError):
             cfg.ablated("attention")
 
     def test_items_round_trip(self):
         cfg = tiny_config(loss_kind="kld", dropout=0.12, skip_layer=False)
         items = dict(sg.config_to_items(cfg))
-        assert sg.config_from_items(items) == cfg
+        assert SigGanConfig(**{k: sg.parse_config_value(k, v) for k, v in items.items()}) == cfg
         with pytest.raises(ConfigError):
-            sg.config_from_items({"momentum": "0.9"})
+            sg.parse_config_value("momentum", "0.9")
 
 
 class TestLosses:
@@ -178,7 +184,7 @@ class TestLosses:
         err = gradient_check(lambda: sg.sig_kld_loss(fake, real), [fake, real])
         assert err <= 1e-4
 
-    @pytest.mark.parametrize("kind", sg.LOSS_KINDS)
+    @pytest.mark.parametrize("kind", list(sg.LOSS_FUNCTIONS))
     @pytest.mark.parametrize("batch,steps", [(1, 2), (3, 7), (10, 20)])
     def test_graph_is_three_nodes(self, kind, batch, steps):
         rng = np.random.default_rng(6)
@@ -579,10 +585,9 @@ class TestGenerate:
             generate(ckpt, returns[: seq_len - 1], 3, seed=1)
 
     @pytest.mark.parametrize("n_samples", [1, 64, 65, 200, 450])
-    def test_threaded_matches_sequential_reference(self, monkeypatch, long_checkpoint, n_samples):
+    def test_threaded_matches_sequential_reference(self, long_checkpoint, n_samples):
         # 450 samples wrap around to the first of the 391 windows
         ckpt, returns = long_checkpoint
-        monkeypatch.setattr(sg, "_usable_cores", lambda: 2)  # two workers even on one core
         expected = unchunked_generate(ckpt, returns, n_samples, seed=9)
         assert np.array_equal(generate(ckpt, returns, n_samples, seed=9), expected)
 
@@ -602,25 +607,6 @@ class TestGenerate:
         if n_samples >= 2:
             assert min(sizes) >= 2
 
-    @pytest.mark.parametrize("n_samples", [3, 64, 129])
-    def test_chunk_plan_ignores_core_count(self, monkeypatch, n_samples):
-        ckpt, returns = self.make_checkpoint()
-        forward = SigGraphGan.generator_forward
-        rows = []
-
-        def counted(model, noise, *args, **kwargs):
-            rows.append(noise.shape[0])
-            return forward(model, noise, *args, **kwargs)
-
-        monkeypatch.setattr(SigGraphGan, "generator_forward", counted)
-        plans = []
-        for cores in (1, 2, 8):
-            monkeypatch.setattr(sg, "_usable_cores", lambda: cores)
-            rows.clear()
-            generate(ckpt, returns, n_samples, seed=1)
-            plans.append(sorted(rows))
-        assert plans == [sorted(sg.generate_chunks(n_samples))] * 3
-
     def test_64_samples_run_on_two_worker_threads(self, monkeypatch):
         ckpt, returns = self.make_checkpoint()
         forward = SigGraphGan.generator_forward
@@ -633,7 +619,6 @@ class TestGenerate:
             both_running.wait()
             return forward(*args, **kwargs)
 
-        monkeypatch.setattr(sg, "_usable_cores", lambda: 2)
         monkeypatch.setattr(SigGraphGan, "generator_forward", rendezvous)
         assert generate(ckpt, returns, 64, seed=1).shape == (64, ckpt.config.seq_len)
         assert len(ran_in) == 2 and len(set(ran_in)) == 2
@@ -647,7 +632,6 @@ class TestGenerate:
             raised_in.append(threading.current_thread())
             raise NumericError("non-finite values produced by op 'lstm'")
 
-        monkeypatch.setattr(sg, "_usable_cores", lambda: 2)
         monkeypatch.setattr(SigGraphGan, "generator_forward", failing_forward)
         with pytest.raises(NumericError, match="'lstm'"):
             generate(ckpt, returns, 200, seed=1)
@@ -842,6 +826,43 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointParseError, match="repeated stats key 'std'") as err:
             load_checkpoint(path)
         assert err.value.offset == len(head)
+
+    def test_undecodable_config_line_reports_its_line(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        at = lines.index(b"seed=3\n")
+        head = b"".join(lines[:at])
+        path.write_bytes(head + b"seed=\xff3\n" + b"".join(lines[at + 1 :]))
+        with pytest.raises(CheckpointParseError, match="undecodable") as err:
+            load_checkpoint(path)
+        assert err.value.offset == len(head)
+
+    def test_negative_parameter_count_reports_its_line(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        data = b"".join(lines)
+        start = data.index(b"group generator ")
+        end = data.index(b"\n", start)
+        path.write_bytes(data[:start] + b"group generator -1" + data[end:])
+        with pytest.raises(CheckpointParseError, match="negative parameter count") as err:
+            load_checkpoint(path)
+        assert err.value.offset == start
+
+    def test_element_count_mismatch_reports_its_param_line(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        data = b"".join(lines)
+        start = data.index(b"\nparam ") + 1
+        count = data.index(b"\n", start) + 1
+        path.write_bytes(data[:count] + struct.pack("<Q", 999) + data[count + 8 :])
+        with pytest.raises(CheckpointParseError, match="element count 999") as err:
+            load_checkpoint(path)
+        assert err.value.offset == start
+
+    def test_bytes_after_end_rejected_at_first_extra_byte(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        data = b"".join(lines)
+        path.write_bytes(data + b"junk")
+        with pytest.raises(CheckpointParseError, match="after \\[end\\]") as err:
+            load_checkpoint(path)
+        assert err.value.offset == len(data)
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "model.bin"
