@@ -2,9 +2,9 @@
 
 Layout (all header lines are UTF-8, newline-terminated):
 
-    siggraphgan-checkpoint v2
+    siggraphgan-checkpoint v3
     [config]
-    <key>=<value>           (one line per config field, 19 in all)
+    <key>=<value>           (one line per config field, 16 in all)
     [stats]
     mean=<repr> std=<repr> delta=<repr>
     [params]
@@ -47,7 +47,7 @@ from .ioutil import atomic_write_bytes
 from .preprocess import PreprocessStats
 from .siggan import SigGanConfig, SigGraphGan, config_to_items, parse_config_value
 
-FORMAT_VERSION = "siggraphgan-checkpoint v2"
+FORMAT_VERSION = "siggraphgan-checkpoint v3"
 
 
 @dataclass

@@ -49,12 +49,10 @@ def zeros(rng: np.random.Generator, shape: tuple):
     return np.zeros(shape)
 
 
-def orthogonal_init(rng: np.random.Generator, rows: int, cols: int):
-    """QR-based orthogonal-ish matrix from a seeded Gaussian draw."""
-    gauss = rng.standard_normal((max(rows, cols), min(rows, cols)))
-    q, r = np.linalg.qr(gauss)
-    q = q * np.sign(np.diag(r))  # fix the sign ambiguity for determinism
-    return q[:rows, :cols] if q.shape[0] >= rows else q.T[:rows, :cols]
+def orthogonal_init(rng: np.random.Generator, n: int):
+    """(n, n) orthogonal matrix, the QR factor of a seeded Gaussian draw."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))  # fix the sign ambiguity for determinism
 
 
 # -- dense --------------------------------------------------------------------
@@ -108,7 +106,7 @@ class LSTM:
 
         def per_gate_orthogonal(rng, shape):
             return np.concatenate(
-                [orthogonal_init(rng, hidden, hidden) for _ in range(4)], axis=1
+                [orthogonal_init(rng, hidden) for _ in range(4)], axis=1
             )
 
         def forget_bias_one(rng, shape):

@@ -59,7 +59,10 @@ class PriceSeries:
                     f"timestamps must be strictly increasing (row {i}: "
                     f"{self.timestamps[i]} after {self.timestamps[i - 1]})"
                 )
-        bad = np.flatnonzero(~(self.closes > 0.0))
+        bad = np.flatnonzero(~np.isfinite(self.closes))
+        if bad.size:
+            raise DomainError(f"non-finite close at index {bad[0]}")
+        bad = np.flatnonzero(self.closes <= 0.0)
         if bad.size:
             raise DomainError(f"nonpositive close at index {bad[0]}")
 

@@ -49,15 +49,11 @@ DISC_TRUST_RADIUS = 0.01
 
 GRAPH_DIRECTIONS = ("undirected", "left_to_right")
 
-# Config changes that remove one architectural component, for ablations
-_ABLATIONS = {
-    "geometric": {"disable_geometric": True},
-    "recurrent": {"disable_recurrent": True},
-    "feedforward": {"disable_feedforward": True},
-    "skip": {"skip_layer": False},
-    "dropout": {"dropout": 0.0},
-}
-ABLATION_COMPONENTS = tuple(_ABLATIONS)
+# Values of the config's `ablation` field: the full network, or the network
+# without its geometric block, recurrent block, feedforward block or skip path
+ABLATIONS = ("none", "geometric", "recurrent", "feedforward", "skip")
+# What `SigGanConfig.ablated` removes: one architectural component, or dropout
+ABLATION_COMPONENTS = ABLATIONS[1:] + ("dropout",)
 
 # Tuned defaults per loss kind, where they differ from the field defaults
 # of `SigGanConfig`, which hold the mse preset: learning rate, (gnn,
@@ -96,10 +92,7 @@ class SigGanConfig:
     epochs: int = 100
     sig_degree: int = 5
     noise_features: int = 1
-    skip_layer: bool = True
-    disable_geometric: bool = False
-    disable_recurrent: bool = False
-    disable_feedforward: bool = False
+    ablation: str = "none"
     seed: int = 0
 
     def __post_init__(self):
@@ -112,6 +105,8 @@ class SigGanConfig:
                 f"graph_direction must be one of {GRAPH_DIRECTIONS}, "
                 f"got {self.graph_direction!r}"
             )
+        if self.ablation not in ABLATIONS:
+            raise ConfigError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if not 0 < self.learning_rate < float("inf"):
@@ -132,9 +127,9 @@ class SigGanConfig:
                      "gnn_layers", "rec_lstm_layers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.disable_feedforward and self.noise_features != 1:
+        if self.ablation == "feedforward" and self.noise_features != 1:
             raise ConfigError(
-                "disable_feedforward requires noise_features = 1 so the "
+                "ablation = feedforward requires noise_features = 1 so the "
                 "summed block output is already a single feature"
             )
 
@@ -144,13 +139,21 @@ class SigGanConfig:
         return cls(loss_kind=loss_kind, **{**_PRESETS.get(loss_kind, {}), **overrides})
 
     def ablated(self, component: str) -> "SigGanConfig":
-        """Copy of this config with one architectural component removed."""
-        if component not in _ABLATIONS:
+        """Copy of this config with one component removed (dropout is rate 0).
+
+        A config that already has an ablation is rejected, so one ablation
+        never quietly replaces another.
+        """
+        if component not in ABLATION_COMPONENTS:
             raise ConfigError(
                 f"unknown ablation component {component!r}; "
                 f"expected one of {ABLATION_COMPONENTS}"
             )
-        return replace(self, **_ABLATIONS[component])
+        if self.ablation != "none":
+            raise ConfigError(f"config already has ablation {self.ablation!r}")
+        if component == "dropout":
+            return replace(self, dropout=0.0)
+        return replace(self, ablation=component)
 
 
 def config_to_items(cfg: SigGanConfig) -> list[tuple[str, str]]:
@@ -158,13 +161,7 @@ def config_to_items(cfg: SigGanConfig) -> list[tuple[str, str]]:
     items = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        items.append((f.name, text))
+        items.append((f.name, repr(value) if isinstance(value, float) else str(value)))
     return items
 
 
@@ -177,10 +174,6 @@ def parse_config_value(key: str, text: str):
     kind = _FIELD_TYPES.get(key)
     if kind is None:
         raise ConfigError(f"unknown config key {key!r}")
-    if kind is bool:
-        if text.lower() not in ("true", "false"):
-            raise ConfigError(f"config key {key!r} expects true/false, got {text!r}")
-        return text.lower() == "true"
     if kind is str:
         return text
     try:
@@ -408,25 +401,26 @@ class GanNetwork:
     """
 
     def __init__(self, init, cfg: SigGanConfig, in_features: int, name: str):
-        self.cfg = cfg
         self.in_features = in_features
         # block output width mirrors the input width; the feedforward
         # stack reduces to a single feature at the end
         block_out = in_features
         self.recurrent = (
             None
-            if cfg.disable_recurrent
+            if cfg.ablation == "recurrent"
             else RecurrentBlock(init, cfg, in_features, block_out, f"{name}.rec")
         )
         self.geometric = (
             None
-            if cfg.disable_geometric
+            if cfg.ablation == "geometric"
             else GeometricBlock(init, cfg, in_features, block_out, f"{name}.geo")
         )
-        if cfg.disable_feedforward:
+        # the skip path concatenates the raw input to the block sum
+        self.skip = cfg.ablation != "skip"
+        if cfg.ablation == "feedforward":
             self.feedforward = None
         else:
-            ff_in = block_out + (in_features if cfg.skip_layer else 0)
+            ff_in = block_out + (in_features if self.skip else 0)
             self.feedforward = FeedforwardBlock(init, ff_in, f"{name}.ff")
 
     def parameters(self):
@@ -441,18 +435,19 @@ class GanNetwork:
             raise ShapeError(
                 f"expected input (B, T, {self.in_features}), got {x.value.shape}"
             )
-        parts = []
-        if self.recurrent is not None:
-            parts.append(self.recurrent.forward(x, rng))
-        if self.geometric is not None:
-            parts.append(self.geometric.forward(x, norm_adjacency, rng))
-        if parts:
-            total = parts[0] if len(parts) == 1 else ad.add(parts[0], parts[1])
+        # at most one block is ablated; the recurrent block draws its dropout
+        # masks first
+        if self.recurrent is None:
+            total = self.geometric.forward(x, norm_adjacency, rng)
+        elif self.geometric is None:
+            total = self.recurrent.forward(x, rng)
         else:
-            total = Tensor(np.zeros(x.value.shape[:2] + (self.in_features,)))
+            total = ad.add(
+                self.recurrent.forward(x, rng), self.geometric.forward(x, norm_adjacency, rng)
+            )
         if self.feedforward is None:
             return total
-        if self.cfg.skip_layer:
+        if self.skip:
             total = ad.concat([total, x])
         return self.feedforward.forward(total)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 
 from siggraphgan import cli
-from siggraphgan.checkpoint import load_checkpoint, save_checkpoint
+from siggraphgan.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from siggraphgan.errors import CheckpointParseError, CheckpointVersionError
 from siggraphgan.fixture import fixture_csv_text
+from siggraphgan.siggan import SigGanConfig
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +70,16 @@ def test_readme_config_example_parses(tmp_path):
     run = cli.parse_run_config(path)
     assert (run.model.seq_len, run.model.epochs, run.model.seed) == (20, 10, 11)
     assert run.n_samples == 200
+
+
+def test_readme_checkpoint_section_matches_format():
+    """The README states the checkpoint's current version line and config line count."""
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    section = readme.split("## Checkpoint format", 1)[1]
+    version = re.search(r"`(siggraphgan-checkpoint v\d+)`", section).group(1)
+    lines = re.search(r"config echo of (\d+) `key=value` lines", section).group(1)
+    assert version == FORMAT_VERSION
+    assert int(lines) == len(dataclasses.fields(SigGanConfig))
 
 
 class TestTrain:
@@ -291,12 +303,32 @@ class TestGenerate:
         assert cli.main(generate_argv(bad, price_csv, tmp_path)) == 4
         assert "numeric error: degaussianize overflow" in capsys.readouterr().err
 
+    @staticmethod
+    def second_format_body(trained_dir):
+        """The trained checkpoint after its version line, as format v2 wrote it.
+
+        Its config echo held four architecture switches where the current
+        format holds ``ablation``: 19 lines.
+        """
+        data = (trained_dir / "checkpoint.bin").read_bytes()
+        switches = (b"skip_layer=true\ndisable_geometric=false\n"
+                    b"disable_recurrent=false\ndisable_feedforward=false\n")
+        return data.split(b"\n", 1)[1].replace(b"ablation=none\n", switches, 1)
+
     def test_first_format_version_exits_5(self, trained_dir, price_csv, tmp_path):
         """A file in the first format, whose config echo had 20 lines, is refused by version."""
-        data = (trained_dir / "checkpoint.bin").read_bytes()
-        body = data.split(b"\n", 1)[1].replace(b"\nseed=", b"\ndisable_dropout=false\nseed=", 1)
+        body = self.second_format_body(trained_dir).replace(
+            b"\nseed=", b"\ndisable_dropout=false\nseed=", 1)
         old = tmp_path / "v1.bin"
         old.write_bytes(b"siggraphgan-checkpoint v1\n" + body)
+        with pytest.raises(CheckpointVersionError):
+            load_checkpoint(old)
+        assert cli.main(generate_argv(old, price_csv, tmp_path)) == 5
+
+    def test_second_format_version_exits_5(self, trained_dir, price_csv, tmp_path):
+        """A file in the second format, with its four switches, is refused by version."""
+        old = tmp_path / "v2.bin"
+        old.write_bytes(b"siggraphgan-checkpoint v2\n" + self.second_format_body(trained_dir))
         with pytest.raises(CheckpointVersionError):
             load_checkpoint(old)
         assert cli.main(generate_argv(old, price_csv, tmp_path)) == 5
@@ -486,6 +518,13 @@ class TestAblate:
         )
         assert code == 2
         assert "attention" in capsys.readouterr().err
+
+    def test_ablated_config_exits_2(self, tmp_path, price_csv, capsys):
+        out = tmp_path / "abl_out"
+        cfg = write_config(tmp_path / "abl.cfg", price_csv, out, ablation="skip")
+        assert cli.main(["ablate", "--config", str(cfg), "--components", "geometric"]) == 2
+        assert "already has ablation 'skip'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_table_rows(self, tmp_path, price_csv):
         out = tmp_path / "abl_out"

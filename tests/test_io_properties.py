@@ -22,7 +22,13 @@ from siggraphgan.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from siggraphgan.errors import CheckpointParseError, ConfigError
 from siggraphgan.fixture import fixture_csv_text
 from siggraphgan.preprocess import PreprocessStats
-from siggraphgan.siggan import GRAPH_DIRECTIONS, LOSS_FUNCTIONS, SigGanConfig, SigGraphGan
+from siggraphgan.siggan import (
+    ABLATIONS,
+    GRAPH_DIRECTIONS,
+    LOSS_FUNCTIONS,
+    SigGanConfig,
+    SigGraphGan,
+)
 
 # At most this many bytes follow a CSV header. A report needs 119 returns,
 # so no CSV this short is valid input, and every outcome is an error.
@@ -81,19 +87,17 @@ VALID_FIELDS = st.fixed_dictionaries({
     "seq_len": st.integers(min_value=2),
     "graph_direction": st.sampled_from(GRAPH_DIRECTIONS),
     "epochs": st.integers(min_value=0),
-    "skip_layer": st.booleans(),
-    "disable_geometric": st.booleans(),
-    "disable_recurrent": st.booleans(),
-    "disable_feedforward": st.booleans(),
+    "ablation": st.sampled_from(ABLATIONS),
     "seed": st.integers(min_value=0),
     **{name: st.integers(min_value=1) for name in POSITIVE},
-}).map(lambda d: {**d, "noise_features": 1} if d["disable_feedforward"] else d)
+}).map(lambda d: {**d, "noise_features": 1} if d["ablation"] == "feedforward" else d)
 
 # changes that each break one rule
 OUTSIDE_RULES = st.one_of(
     st.text().filter(lambda t: t not in LOSS_FUNCTIONS).map(lambda t: {"loss_kind": t}),
     st.text().filter(lambda t: t not in GRAPH_DIRECTIONS).map(
         lambda t: {"graph_direction": t}),
+    st.text().filter(lambda t: t not in ABLATIONS).map(lambda t: {"ablation": t}),
     st.one_of(st.floats(max_value=0.0), st.just(float("inf")), st.just(float("nan"))).map(
         lambda x: {"learning_rate": x}),
     st.one_of(st.floats(max_value=-5e-324), st.floats(min_value=1.0), st.just(float("nan"))).map(
@@ -102,7 +106,7 @@ OUTSIDE_RULES = st.one_of(
     st.tuples(st.sampled_from(["epochs", "seed"]), st.integers(max_value=-1)).map(
         lambda kv: dict([kv])),
     st.tuples(st.sampled_from(POSITIVE), st.integers(max_value=0)).map(lambda kv: dict([kv])),
-    st.integers(min_value=2).map(lambda n: {"disable_feedforward": True, "noise_features": n}),
+    st.integers(min_value=2).map(lambda n: {"ablation": "feedforward", "noise_features": n}),
 )
 
 

@@ -41,6 +41,11 @@ class TestLogReturns:
         with pytest.raises(DomainError, match="index 2"):
             make_prices([1.0, 2.0, -3.0, 4.0])
 
+    @pytest.mark.parametrize("close", [math.inf, -math.inf, math.nan])
+    def test_non_finite_close_names_index(self, close):
+        with pytest.raises(DomainError, match="non-finite close at index 1"):
+            make_prices([1.0, close, 2.0])
+
     def test_recovers_from_exp_cumsum(self):
         rng = np.random.default_rng(0)
         r = rng.standard_normal(50) * 0.01

@@ -100,7 +100,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(graph_direction="sideways")
         with pytest.raises(ConfigError):
-            tiny_config(disable_feedforward=True, noise_features=3)
+            tiny_config(ablation="feedforward", noise_features=3)
+        with pytest.raises(ConfigError, match="ablation must be one of"):
+            tiny_config(ablation="attention")
 
     def test_frozen(self):
         cfg = tiny_config()
@@ -109,14 +111,20 @@ class TestConfig:
 
     def test_ablated(self):
         cfg = tiny_config()
-        assert cfg.ablated("geometric").disable_geometric
-        assert not cfg.ablated("skip").skip_layer
-        assert cfg.ablated("dropout").dropout == 0.0
+        assert cfg.ablation == "none"
+        assert cfg.ablated("geometric").ablation == "geometric"
+        assert cfg.ablated("skip").ablation == "skip"
+        assert cfg.ablated("dropout") == dataclasses.replace(cfg, dropout=0.0)
         with pytest.raises(ConfigError):
             cfg.ablated("attention")
 
+    @pytest.mark.parametrize("component", sg.ABLATION_COMPONENTS)
+    def test_ablated_rejects_an_ablated_config(self, component):
+        with pytest.raises(ConfigError, match="already has ablation 'skip'"):
+            tiny_config(ablation="skip").ablated(component)
+
     def test_items_round_trip(self):
-        cfg = tiny_config(loss_kind="kld", dropout=0.12, skip_layer=False)
+        cfg = tiny_config(loss_kind="kld", dropout=0.12, ablation="skip")
         items = dict(sg.config_to_items(cfg))
         assert SigGanConfig(**{k: sg.parse_config_value(k, v) for k, v in items.items()}) == cfg
         with pytest.raises(ConfigError):
@@ -283,7 +291,7 @@ class TestNetworks:
 
 class TestAblations:
     def test_geometric_disabled_is_adjacency_invariant(self):
-        cfg = tiny_config(disable_geometric=True)
+        cfg = tiny_config(ablation="geometric")
         model = SigGraphGan(cfg)
         real, adjs, noise = toy_batch(cfg)
         other = row_adjacencies(np.flip(real, axis=1), cfg)
@@ -292,37 +300,39 @@ class TestAblations:
         assert np.array_equal(a, b)
 
     def test_recurrent_disabled_still_runs(self):
-        cfg = tiny_config(disable_recurrent=True)
+        cfg = tiny_config(ablation="recurrent")
         model = SigGraphGan(cfg)
         real, adjs, noise = toy_batch(cfg)
         assert model.generator_forward(noise, adjs).value.shape == (3, cfg.seq_len, 1)
 
     def test_feedforward_disabled_passes_block_sum(self):
-        cfg = tiny_config(disable_feedforward=True)
+        cfg = tiny_config(ablation="feedforward")
         model = SigGraphGan(cfg)
         real, adjs, noise = toy_batch(cfg)
         assert model.generator_forward(noise, adjs).value.shape == (3, cfg.seq_len, 1)
 
-    def test_skip_disabled_ignores_raw_features(self):
-        # with both blocks removed, the skip path is the only route for x;
-        # disabling it must make the output constant in x
-        cfg = tiny_config(
-            disable_geometric=True, disable_recurrent=True, skip_layer=False
-        )
+    @staticmethod
+    def outputs_with_zero_block_sum(cfg):
+        """Generator outputs at two inputs, with both block heads zeroed.
+
+        The block sum is then 0 whatever the input, so the skip path is the
+        only route by which the input reaches the output.
+        """
         model = SigGraphGan(cfg)
+        for block in (model.generator.recurrent, model.generator.geometric):
+            for p in block.head.parameters():
+                p.value[...] = 0.0
         real, adjs, noise = toy_batch(cfg)
         a = model.generator_forward(noise, adjs).value
         b = model.generator_forward(noise * 5.0 + 1.0, adjs).value
+        return a, b
+
+    def test_skip_disabled_ignores_raw_features(self):
+        a, b = self.outputs_with_zero_block_sum(tiny_config(ablation="skip"))
         assert np.array_equal(a, b)
 
     def test_skip_enabled_uses_raw_features(self):
-        cfg = tiny_config(
-            disable_geometric=True, disable_recurrent=True, skip_layer=True
-        )
-        model = SigGraphGan(cfg)
-        real, adjs, noise = toy_batch(cfg)
-        a = model.generator_forward(noise, adjs).value
-        b = model.generator_forward(noise * 5.0 + 1.0, adjs).value
+        a, b = self.outputs_with_zero_block_sum(tiny_config())
         assert not np.array_equal(a, b)
 
 
@@ -794,9 +804,8 @@ class TestCheckpointRoundTrip:
         [
             (b"seq_len=10\n", b"seq_len=ten\n", "expects an integer"),
             (b"dropout=0.35\n", b"dropout=lots\n", "expects a number"),
-            (b"skip_layer=true\n", b"skip_layer=yes\n", "expects true/false"),
         ],
-        ids=["integer", "number", "boolean"],
+        ids=["integer", "number"],
     )
     def test_malformed_config_value_reports_its_line(self, tmp_path, line, bad, message):
         path, lines = self._saved_lines(tmp_path)
@@ -810,11 +819,11 @@ class TestCheckpointRoundTrip:
     def test_invalid_config_reports_stats_offset(self, tmp_path):
         """Lines that parse one by one but fail validation together point at [stats]."""
         path, lines = self._saved_lines(tmp_path)
-        lines[lines.index(b"disable_feedforward=false\n")] = b"disable_feedforward=true\n"
+        lines[lines.index(b"ablation=none\n")] = b"ablation=feedforward\n"
         lines[lines.index(b"noise_features=1\n")] = b"noise_features=3\n"
         data = b"".join(lines)
         path.write_bytes(data)
-        with pytest.raises(CheckpointParseError, match="disable_feedforward requires") as err:
+        with pytest.raises(CheckpointParseError, match="feedforward requires") as err:
             load_checkpoint(path)
         assert err.value.offset == data.index(b"[stats]\n")
 
