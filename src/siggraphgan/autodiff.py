@@ -233,5 +233,8 @@ def dropout(a, rate: float, rng: np.random.Generator | None) -> Tensor:
     a = as_tensor(a)
     if rng is None or rate == 0.0:
         return a
-    keep = (rng.random(a.value.shape) >= rate) / (1.0 - rate)
-    return from_op(a.value * keep, [(a, lambda g: g * keep)], "dropout")
+    # the node keeps the boolean mask, an eighth of the scaled mask's
+    # bytes, and its vjp forms the same scaled mask again
+    mask = rng.random(a.value.shape) >= rate
+    value = a.value * (mask / (1.0 - rate))
+    return from_op(value, [(a, lambda g: g * (mask / (1.0 - rate)))], "dropout")

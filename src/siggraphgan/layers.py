@@ -156,6 +156,12 @@ def lstm_forward(seq, params: LSTM) -> Tensor:
     takes the input, input-weight and bias gradients as products over all
     steps. So the graph size does not grow with T.
 
+    The adjoint runs once. Its reverse loop drops each step's saved gates
+    and states as it uses them, it forms only the gradients of inputs that
+    require grad, and each vjp hands its gradient out and forgets it, so
+    none of this outlives the backward pass that consumed it. A second
+    backward through the same node raises `GraphError`.
+
     When nothing it depends on requires grad, the forward keeps no gate
     activations and the result is a node without parents; its values are
     the same as in grad mode.
@@ -173,7 +179,8 @@ def lstm_forward(seq, params: LSTM) -> Tensor:
         raise ShapeError("lstm needs at least one time step")
     w_in, bias, w = params.w_input.value, params.bias.value, params.w_recur.value
     hidden = params.hidden
-    keep = any(t.requires_grad for t in (seq, params.w_input, params.bias, params.w_recur))
+    inputs = {"seq": seq, "w_input": params.w_input, "bias": params.bias, "w_recur": params.w_recur}
+    wanted = [name for name, t in inputs.items() if t.requires_grad]
     h = np.zeros((batch, hidden))
     c = np.zeros_like(h)
     out = np.empty((batch, steps, hidden))
@@ -192,19 +199,21 @@ def lstm_forward(seq, params: LSTM) -> Tensor:
             tanh_c = np.tanh(c)
             h = gate_o * tanh_c
             out[:, t, :] = h
-            if keep:
+            if wanted:
                 saved.append((gate_i, gate_f, gate_g, gate_o, c_prev, tanh_c))
 
     shared: dict = {}
 
-    def bptt(g):
-        # backward() hands every parent the same g, so the reverse loop
-        # runs once and serves all four vjps
+    def bptt(g, name):
+        # backward() hands every live parent the same g, so the reverse
+        # loop runs once and each vjp takes its own gradient out once
         if not shared:
+            if not saved:
+                raise GraphError("lstm node was already backpropagated through")
             gpre = np.empty((batch, steps, 4 * hidden))
             gh_next = gc_next = 0.0
-            for t in reversed(range(len(saved))):
-                gate_i, gate_f, gate_g, gate_o, c_prev, tanh_c = saved[t]
+            for t in reversed(range(steps)):
+                gate_i, gate_f, gate_g, gate_o, c_prev, tanh_c = saved.pop()
                 gh = g[:, t, :] + gh_next
                 gc = gc_next + gh * gate_o * (1.0 - tanh_c * tanh_c)
                 gpre[:, t, :] = np.concatenate(
@@ -220,25 +229,22 @@ def lstm_forward(seq, params: LSTM) -> Tensor:
                 gc_next = gc * gate_f
             # the projection x @ w_in + bias over all B * T rows
             gpre_rows = gpre.reshape(batch * steps, 4 * hidden)
-            shared["seq"] = (gpre_rows @ w_in.T).reshape(x.shape)
-            shared["w_input"] = x.reshape(batch * steps, features).T @ gpre_rows
-            shared["bias"] = gpre_rows.sum(axis=0)
-            # sum over steps of h_{t-1}^T @ gpre_t; h_{-1} = 0 drops t = 0
-            shared["w_recur"] = np.tensordot(
-                out[:, :-1, :], gpre[:, 1:, :], axes=([0, 1], [0, 1])
-            )
-        return shared
+            products = {
+                "seq": lambda: (gpre_rows @ w_in.T).reshape(x.shape),
+                "w_input": lambda: x.reshape(batch * steps, features).T @ gpre_rows,
+                "bias": lambda: gpre_rows.sum(axis=0),
+                # sum over steps of h_{t-1}^T @ gpre_t; h_{-1} = 0 drops t = 0
+                "w_recur": lambda: np.tensordot(
+                    out[:, :-1, :], gpre[:, 1:, :], axes=([0, 1], [0, 1])
+                ),
+            }
+            shared.update((n, products[n]()) for n in wanted)
+        return shared.pop(name)
 
-    return ad.from_op(
-        out,
-        [
-            (seq, lambda g: bptt(g)["seq"]),
-            (params.w_input, lambda g: bptt(g)["w_input"]),
-            (params.bias, lambda g: bptt(g)["bias"]),
-            (params.w_recur, lambda g: bptt(g)["w_recur"]),
-        ],
-        "lstm",
-    )
+    def vjp(name):
+        return lambda g: bptt(g, name)
+
+    return ad.from_op(out, [(inputs[n], vjp(n)) for n in wanted], "lstm")
 
 
 # -- graph convolution --------------------------------------------------------

@@ -29,6 +29,8 @@ class RmsProp:
     parameter values seen at optimizer construction; an ascending player
     constrained this way stays inside a compact family instead of
     diverging. `step` consumes and zeroes the grads.
+
+    ``square_avg`` and ``anchors`` are lists aligned with ``params``.
     """
 
     def __init__(
@@ -42,11 +44,9 @@ class RmsProp:
         self.learning_rate = learning_rate
         self.maximize = maximize
         self.trust_radius = trust_radius
-        self.square_avg = {id(p): np.zeros_like(p.value) for p in self.params}
+        self.square_avg = [np.zeros_like(p.value) for p in self.params]
         self.anchors = (
-            {id(p): p.value.copy() for p in self.params}
-            if trust_radius is not None
-            else None
+            [p.value.copy() for p in self.params] if trust_radius is not None else None
         )
 
     def _gradients(self):
@@ -65,13 +65,12 @@ class RmsProp:
             scale = GRAD_CLIP_NORM / total
             grads = [g * scale for g in grads]
         sign = 1.0 if self.maximize else -1.0
-        for p, g in zip(self.params, grads):
-            v = self.square_avg[id(p)]
+        for i, (p, g, v) in enumerate(zip(self.params, grads, self.square_avg)):
             v *= RHO
             v += (1.0 - RHO) * g * g
             p.value = p.value + sign * self.learning_rate * g / (np.sqrt(v) + EPS)
             if self.trust_radius is not None:
-                anchor = self.anchors[id(p)]
+                anchor = self.anchors[i]
                 np.clip(
                     p.value,
                     anchor - self.trust_radius,

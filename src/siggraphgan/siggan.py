@@ -142,7 +142,8 @@ class SigGanConfig:
         """Copy of this config with one component removed (dropout is rate 0).
 
         A config that already has an ablation is rejected, so one ablation
-        never quietly replaces another.
+        never quietly replaces another. So is "dropout" on a config whose
+        rate is already 0: the copy would train the same model.
         """
         if component not in ABLATION_COMPONENTS:
             raise ConfigError(
@@ -152,6 +153,8 @@ class SigGanConfig:
         if self.ablation != "none":
             raise ConfigError(f"config already has ablation {self.ablation!r}")
         if component == "dropout":
+            if self.dropout == 0.0:
+                raise ConfigError("config already has dropout 0; nothing to ablate")
             return replace(self, dropout=0.0)
         return replace(self, ablation=component)
 

@@ -25,14 +25,20 @@ them with `np.array_equal`.
 `tsum` and `comparison_node` are graph nodes only the gradient checks
 use: a scalarizer, and a node around one of the losses' plain-numpy
 comparisons.
+
+`garch_simulate_loop` is the GARCH(1,1) simulation written over a numpy
+output array, element by element; the package's Python-float recursion
+must give the same bits.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
 from siggraphgan import autodiff as ad
+from siggraphgan.baselines import GARCH_BURN_IN
 from siggraphgan.errors import ShapeError, SizeError
 from siggraphgan.signature import _run_tables, _word_reversal, level_offsets, sig_length
 
@@ -132,6 +138,19 @@ def finite_difference_gradient(func, param, h: float = 1e-5) -> np.ndarray:
         param.value[idx] = original
         grad[idx] = (plus - minus) / (2.0 * h)
     return grad
+
+
+def garch_simulate_loop(params, n, rng):
+    """n GARCH(1,1) returns after the burn-in, one numpy element at a time."""
+    total = n + GARCH_BURN_IN
+    shocks = rng.standard_normal(total)
+    out = np.empty(total)
+    sig2 = params.unconditional_variance
+    for t in range(total):
+        if t > 0:
+            sig2 = params.omega + params.alpha * out[t - 1] ** 2 + params.beta * sig2
+        out[t] = math.sqrt(sig2) * shocks[t]
+    return out[GARCH_BURN_IN:]
 
 
 def tsum(t):

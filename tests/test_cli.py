@@ -526,6 +526,13 @@ class TestAblate:
         assert "already has ablation 'skip'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dropout_at_rate_zero_exits_2(self, tmp_path, price_csv, capsys):
+        out = tmp_path / "abl_out"
+        cfg = write_config(tmp_path / "abl.cfg", price_csv, out, dropout=0.0)
+        assert cli.main(["ablate", "--config", str(cfg), "--components", "dropout"]) == 2
+        assert "already has dropout 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_table_rows(self, tmp_path, price_csv):
         out = tmp_path / "abl_out"
         cfg = tmp_path / "abl.cfg"

@@ -1,5 +1,4 @@
 import resource
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,7 +173,7 @@ class TestReport:
 
 
 class TestReportMemory:
-    def test_fixture_against_20000_returns_within_budget(self):
+    def test_fixture_against_20000_returns_within_budget(self, traced_peak):
         """One report of the fixture's 2514 returns against 20000 fake ones stays under 64 MiB.
 
         The largest expected signature, over about 20000 aggregated values
@@ -186,14 +185,10 @@ class TestReportMemory:
         """
         real = np.diff(np.log(fixture_prices().closes))
         fake = 0.01 * np.random.default_rng(16).standard_normal(20000)
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             report = mt.build_report(real, fake)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert all(np.isfinite(v) for v in report.values.values())
-        assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+        assert peak.bytes < 64 * 2**20, f"peak {peak.bytes / 2**20:.0f} MiB"
 
     @pytest.mark.parametrize("n_fake", [4000, 20000])
     def test_repeated_report_faults_no_fresh_pages(self, n_fake):

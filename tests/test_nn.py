@@ -115,6 +115,18 @@ class TestLstm:
             assert all(stop - start >= min(2, steps) for start, stop in blocks)
             assert all(stop - start <= ly.PROJECTION_STEPS + 1 for start, stop in blocks)
 
+    @pytest.mark.parametrize("input_grad", [False, True])
+    def test_second_backward_raises(self, input_grad):
+        rng = np.random.default_rng(7)
+        lstm = ly.LSTM(ly.RandomInit(rng), 2, 3, "l")
+        seq = ad.Tensor(rng.standard_normal((2, 4, 2)), requires_grad=input_grad)
+        loss = tsum(lstm(seq))
+        loss.backward()
+        assert all(p.grad is not None for p in lstm.parameters())
+        assert (seq.grad is not None) == input_grad
+        with pytest.raises(GraphError, match="already backpropagated"):
+            loss.backward()
+
     def test_graph_size_independent_of_length(self):
         # the recurrence is one graph node, not one per time step
         rng = np.random.default_rng(4)
@@ -480,3 +492,16 @@ class TestRmsProp:
         p.grad = np.array([1.0])
         opt.step()
         assert p.value == pytest.approx([0.51])
+
+    def test_state_lists_align_with_params(self):
+        a = ad.Parameter(np.array([0.5, -0.5]), "a")
+        b = ad.Parameter(np.array([[1.0]]), "b")
+        opt = RmsProp([a, b], 0.01, trust_radius=0.1)
+        grads = [np.array([0.1, 0.2]), np.array([[0.3]])]
+        a.grad, b.grad = (g.copy() for g in grads)
+        opt.step()
+        assert [v.shape for v in opt.square_avg] == [(2,), (1, 1)]
+        for v, g in zip(opt.square_avg, grads):
+            np.testing.assert_array_equal(v, (1.0 - 0.9) * g * g)
+        np.testing.assert_array_equal(opt.anchors[0], [0.5, -0.5])
+        np.testing.assert_array_equal(opt.anchors[1], [[1.0]])

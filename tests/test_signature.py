@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,7 +205,7 @@ class TestBatchedEngine:
 
 
 class TestEngineMemory:
-    def test_report_scale_batch_within_budget(self):
+    def test_report_scale_batch_within_budget(self, traced_peak):
         """One forward-only (20000, 20) engine batch stays within 256 MiB.
 
         That is the window stack of a 20000-point series. `build_report`
@@ -220,14 +219,10 @@ class TestEngineMemory:
         Snapshots of all 63 rows would measure about 395 MiB.
         """
         series = np.random.default_rng(14).standard_normal((20000, 20))
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             sigs = sg.leadlag_signature_batch(series, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert sigs.shape == (20000, 63)
-        assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+        assert peak.bytes < 256 * 2**20, f"peak {peak.bytes / 2**20:.0f} MiB"
 
 
 class TestCounting:
