@@ -33,14 +33,6 @@ def fixture_prices() -> PriceSeries:
     return PriceSeries(dates, closes)
 
 
-def fixture_csv_text() -> str:
-    prices = fixture_prices()
-    lines = ["date,close"]
-    for date, close in zip(prices.timestamps, prices.closes):
-        lines.append(f"{date.isoformat()},{float(close)!r}")
-    return "\n".join(lines) + "\n"
-
-
 def fixture_path() -> str:
     """Filesystem path of the bundled fixture CSV."""
     return str(importlib.resources.files("siggraphgan").joinpath("data/gbm_fixture.csv"))

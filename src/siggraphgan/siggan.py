@@ -510,16 +510,97 @@ class TrainResult:
     epoch_losses: list[float]
 
 
+class TrainState:
+    """Everything a training run carries from one epoch to the next.
+
+    Built from the (gaussianized) return series, the config and the
+    preprocessing statistics the checkpoint records (identity statistics
+    if None). It holds the series' window view and visibility graph, the
+    model, the shuffle, noise and dropout generators, one RMSProp per
+    player and the epoch losses so far. The model and the three generators
+    take the four children of ``SeedSequence(cfg.seed)``, in that order.
+    """
+
+    def __init__(self, returns, cfg: SigGanConfig, stats: PreprocessStats | None = None):
+        values = np.asarray(returns, dtype=np.float64)
+        if values.ndim != 1:
+            raise ShapeError("train expects a one-dimensional return series")
+        min_returns = cfg.seq_len + cfg.batch_size - 1  # one full batch of windows
+        if values.shape[0] < min_returns:
+            raise SizeError(
+                f"need at least seq_len + batch_size - 1 = {min_returns} "
+                f"returns, got {values.shape[0]}"
+            )
+        self.cfg = cfg
+        self.stats = PreprocessStats(mean=0.0, std=1.0, delta=0.0) if stats is None else stats
+        self.window_values = np.lib.stride_tricks.sliding_window_view(values, cfg.seq_len)
+        self.graph = series_graph(values, cfg)
+        model_seed, *rng_seeds = np.random.SeedSequence(cfg.seed).spawn(4)
+        self.model = SigGraphGan(cfg, model_seed)
+        self.shuffle_rng, self.noise_rng, self.dropout_rng = (
+            np.random.Generator(np.random.PCG64(seed)) for seed in rng_seeds
+        )
+        self.opt_disc = RmsProp(
+            self.model.discriminator.parameters(),
+            cfg.learning_rate,
+            maximize=True,
+            trust_radius=DISC_TRUST_RADIUS,
+        )
+        self.opt_gen = RmsProp(self.model.generator.parameters(), cfg.learning_rate)
+        self.epoch_losses: list[float] = []
+
+
+def player_step(state: TrainState, opt: RmsProp, idle: RmsProp, real_windows, adjs) -> float:
+    """One step of ``opt``'s player; ``idle``'s output is a constant."""
+    for p in opt.params:
+        p.requires_grad = True
+    for p in idle.params:
+        p.requires_grad = False
+    cfg, model = state.cfg, state.model
+    noise = state.noise_rng.standard_normal((len(real_windows), cfg.seq_len, cfg.noise_features))
+    fake = model.generator_forward(noise, adjs, state.dropout_rng)
+    real = model.discriminator_forward(real_windows[:, :, np.newaxis], adjs, state.dropout_rng)
+    loss = LOSS_FUNCTIONS[cfg.loss_kind](fake, real, cfg.sig_degree)
+    loss.backward()
+    opt.step()
+    return loss.item()
+
+
+def train_epoch(state: TrainState) -> float:
+    """One epoch over a fresh shuffle of the windows; returns its mean generator loss.
+
+    Each full batch takes one discriminator step, then one generator step;
+    the mean of the generator losses is appended to ``state.epoch_losses``.
+    A `NumericError` names its epoch and the batch's position in the shuffle.
+    """
+    cfg, windows = state.cfg, state.window_values
+    epoch = len(state.epoch_losses)
+    order = state.shuffle_rng.permutation(windows.shape[0])
+    gen_losses = []
+    for start in range(0, windows.shape[0] - cfg.batch_size + 1, cfg.batch_size):
+        idx = order[start : start + cfg.batch_size]
+        real, adjs = windows[idx], window_adjacencies(state.graph, idx, cfg)
+        try:
+            player_step(state, state.opt_disc, state.opt_gen, real, adjs)
+            gen_losses.append(player_step(state, state.opt_gen, state.opt_disc, real, adjs))
+        except NumericError as exc:
+            raise NumericError(f"{exc} (epoch {epoch}, batch starting at {start})") from exc
+    state.epoch_losses.append(float(np.mean(gen_losses)))
+    return state.epoch_losses[-1]
+
+
 def train(returns, cfg: SigGanConfig, stats: PreprocessStats | None = None) -> TrainResult:
     """Adversarial training on sliding windows of a (gaussianized) series.
 
-    Per batch the discriminator takes one RMSProp ascent step on the
-    signature loss, then the generator takes one descent step with fresh
-    noise. Only the stepping player's parameters require grad during its
-    step, so the idle player's forward records no graph and the backward
-    pass walks the stepping player's alone. Both updates clip the
-    global gradient norm at 5. The per-epoch trace records the mean loss
-    of the generator steps.
+    Builds a `TrainState`, steps it `cfg.epochs` times with `train_epoch`
+    and saves its model as a checkpoint; per-epoch reporting or saving
+    belongs in that loop. Per batch the discriminator takes one RMSProp
+    ascent step on the signature loss, then the generator takes one
+    descent step with fresh noise. Only the stepping player's parameters
+    require grad during its step, so the idle player's forward records no
+    graph and the backward pass walks the stepping player's alone. Both
+    updates clip the global gradient norm at 5. The per-epoch trace
+    records the mean loss of the generator steps.
 
     One visibility graph is built over the whole series, with lags up to
     seq_len - 1; each batch slices and normalizes the adjacency of its own
@@ -527,72 +608,11 @@ def train(returns, cfg: SigGanConfig, stats: PreprocessStats | None = None) -> T
     """
     from .checkpoint import Checkpoint  # local import to avoid a cycle
 
-    values = np.asarray(returns, dtype=np.float64)
-    if values.ndim != 1:
-        raise ShapeError("train expects a one-dimensional return series")
-    min_returns = cfg.seq_len + cfg.batch_size - 1  # one full batch of windows
-    if values.shape[0] < min_returns:
-        raise SizeError(
-            f"need at least seq_len + batch_size - 1 = {min_returns} "
-            f"returns, got {values.shape[0]}"
-        )
-    if stats is None:
-        stats = PreprocessStats(mean=0.0, std=1.0, delta=0.0)
-
-    window_values = np.lib.stride_tricks.sliding_window_view(values, cfg.seq_len)
-    graph = series_graph(values, cfg)
-    n_windows = window_values.shape[0]
-
-    seed_seq = np.random.SeedSequence(cfg.seed)
-    model_seed, shuffle_seed, noise_seed, dropout_seed = seed_seq.spawn(4)
-    model = SigGraphGan(cfg, model_seed)
-    shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_seed))
-    noise_rng = np.random.Generator(np.random.PCG64(noise_seed))
-    dropout_rng = np.random.Generator(np.random.PCG64(dropout_seed))
-
-    opt_disc = RmsProp(
-        model.discriminator.parameters(),
-        cfg.learning_rate,
-        maximize=True,
-        trust_radius=DISC_TRUST_RADIUS,
-    )
-    opt_gen = RmsProp(model.generator.parameters(), cfg.learning_rate)
-    loss_fn = LOSS_FUNCTIONS[cfg.loss_kind]
-
-    def player_step(opt, idle, real_windows, adjs) -> float:
-        """One step of ``opt``'s player; ``idle``'s output is a constant."""
-        for p in opt.params:
-            p.requires_grad = True
-        for p in idle.params:
-            p.requires_grad = False
-        batch = real_windows.shape[0]
-        noise = noise_rng.standard_normal((batch, cfg.seq_len, cfg.noise_features))
-        fake = model.generator_forward(noise, adjs, dropout_rng)
-        real = model.discriminator_forward(real_windows[:, :, np.newaxis], adjs, dropout_rng)
-        loss = loss_fn(fake, real, cfg.sig_degree)
-        loss.backward()
-        opt.step()
-        return loss.item()
-
-    epoch_losses: list[float] = []
-    for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n_windows)
-        gen_losses = []
-        for start in range(0, n_windows - cfg.batch_size + 1, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            real_batch = window_values[idx]
-            adj_batch = window_adjacencies(graph, idx, cfg)
-            try:
-                player_step(opt_disc, opt_gen, real_batch, adj_batch)
-                gen_losses.append(player_step(opt_gen, opt_disc, real_batch, adj_batch))
-            except NumericError as exc:
-                raise NumericError(
-                    f"{exc} (epoch {epoch}, batch starting at {start})"
-                ) from exc
-        epoch_losses.append(float(np.mean(gen_losses)) if gen_losses else float("nan"))
-
-    checkpoint = Checkpoint.from_model(model, cfg, stats)
-    return TrainResult(checkpoint=checkpoint, epoch_losses=epoch_losses)
+    state = TrainState(returns, cfg, stats)
+    for _ in range(cfg.epochs):
+        train_epoch(state)
+    checkpoint = Checkpoint.from_model(state.model, cfg, state.stats)
+    return TrainResult(checkpoint=checkpoint, epoch_losses=state.epoch_losses)
 
 
 def generate(

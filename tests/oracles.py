@@ -29,6 +29,9 @@ comparisons.
 `garch_simulate_loop` is the GARCH(1,1) simulation written over a numpy
 output array, element by element; the package's Python-float recursion
 must give the same bits.
+
+`fixture_csv_text` writes `fixture_prices` as the text of a price CSV;
+the bundled fixture file must equal it.
 """
 
 import math
@@ -40,6 +43,7 @@ from scipy.optimize import linprog
 from siggraphgan import autodiff as ad
 from siggraphgan.baselines import GARCH_BURN_IN
 from siggraphgan.errors import ShapeError, SizeError
+from siggraphgan.fixture import fixture_prices
 from siggraphgan.signature import _run_tables, _word_reversal, level_offsets, sig_length
 
 
@@ -452,3 +456,12 @@ def sequential_window_mean(series, points, degree):
         )
         mean[offs[k] : offs[k + 1]] = level / n_windows
     return mean
+
+
+def fixture_csv_text() -> str:
+    """The bundled fixture's `date,close` CSV text, one close per line."""
+    prices = fixture_prices()
+    lines = ["date,close"]
+    for date, close in zip(prices.timestamps, prices.closes):
+        lines.append(f"{date.isoformat()},{float(close)!r}")
+    return "\n".join(lines) + "\n"

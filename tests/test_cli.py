@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import fixture_csv_text
 from siggraphgan import cli
 from siggraphgan.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from siggraphgan.errors import CheckpointParseError, CheckpointVersionError
-from siggraphgan.fixture import fixture_csv_text
 from siggraphgan.siggan import SigGanConfig
 
 

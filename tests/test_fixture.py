@@ -1,11 +1,7 @@
 import numpy as np
 
-from siggraphgan.fixture import (
-    FIXTURE_LENGTH,
-    fixture_csv_text,
-    fixture_path,
-    fixture_prices,
-)
+from oracles import fixture_csv_text
+from siggraphgan.fixture import FIXTURE_LENGTH, fixture_path, fixture_prices
 from siggraphgan.preprocess import load_price_csv
 
 

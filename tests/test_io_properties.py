@@ -17,10 +17,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import fixture_csv_text
 from siggraphgan import cli, ioutil
 from siggraphgan.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from siggraphgan.errors import CheckpointParseError, ConfigError
-from siggraphgan.fixture import fixture_csv_text
 from siggraphgan.preprocess import PreprocessStats
 from siggraphgan.siggan import (
     ABLATIONS,

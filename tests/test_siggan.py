@@ -434,6 +434,37 @@ class TestTraining:
         ):
             assert n1 == n2 and np.array_equal(v1, v2)
 
+    @pytest.mark.parametrize("loss_kind", ["mse", "kld"])
+    def test_epochs_stepped_one_at_a_time_match_train(self, loss_kind):
+        cfg = tiny_config(loss_kind=loss_kind, epochs=2, seed=7)
+        assert cfg.dropout > 0  # so the dropout generator is drawn from
+        returns = np.random.default_rng(4).standard_normal(40)
+        expected = train(returns, cfg)
+        saved = expected.checkpoint
+        expected_params = saved.generator_params + saved.discriminator_params
+        # two states stepped in turn stay equal only if neither draws from a
+        # generator outside itself
+        states = [sg.TrainState(returns, cfg), sg.TrainState(returns, cfg)]
+        for _ in range(cfg.epochs):
+            for state in states:
+                assert sg.train_epoch(state) == state.epoch_losses[-1]
+        for state in states:
+            assert state.epoch_losses == expected.epoch_losses
+            model = state.model
+            params = model.generator.parameters() + model.discriminator.parameters()
+            assert [p.name for p in params] == [name for name, _ in expected_params]
+            for param, (name, value) in zip(params, expected_params):
+                assert np.array_equal(param.value, value), f"parameter {name} differs"
+
+    def test_numeric_error_names_epoch_and_batch(self):
+        state = sg.TrainState(np.random.default_rng(6).standard_normal(30), tiny_config())
+        sg.train_epoch(state)
+        # a critic output of ~1e300 overflows the loss's degree-5 signature
+        state.model.discriminator.feedforward.fc3.weight.value *= 1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"\(epoch 1, batch starting at 0\)$"):
+                sg.train_epoch(state)
+
     def test_single_ascent_step_increases_loss_on_frozen_batch(self):
         cfg = tiny_config(seed=123)
         model = SigGraphGan(cfg)
