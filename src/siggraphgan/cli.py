@@ -28,8 +28,8 @@ from .errors import (
     ShapeError,
     SigGraphGanError,
 )
-from .ioutil import atomic_write_text
-from .metrics import build_report
+from .ioutil import atomic_write_text, csv_text, read_csv_rows
+from .metrics import REPORT_LABELS, build_report, k_day_aggregate
 from .preprocess import load_price_csv, log_returns, prepare_training_returns
 from .siggan import ABLATION_COMPONENTS, SigGanConfig, generate, parse_config_value, train
 
@@ -49,7 +49,7 @@ class RunConfig:
     """Model config plus file paths and run-level knobs."""
 
     model: SigGanConfig
-    input: str | None = None
+    input: str
     output_dir: str = "."
     baseline: str | None = None
     n_samples: int = 200
@@ -105,65 +105,52 @@ def parse_run_config(path, seed: int | None = None) -> RunConfig:
             raise ConfigError(f"bad integer in run config: {exc}") from exc
         if run_items["n_samples"] < 0:
             raise ConfigError("n_samples must be >= 0")
+    if not run_items.get("input"):
+        raise ConfigError("config key 'input' (price CSV path) is required")
     return RunConfig(model=model, **run_items)
 
 
-def _require_input(run: RunConfig) -> str:
-    if not run.input:
-        raise ConfigError("config key 'input' (price CSV path) is required")
-    return run.input
-
-
-def _loss_trace_text(losses) -> str:
-    lines = ["epoch,loss"]
-    for epoch, loss in enumerate(losses):
-        lines.append(f"{epoch},{loss!r}")
-    return "\n".join(lines) + "\n"
+def _write(out_dir, name, text) -> str:
+    """Write one artifact atomically into ``out_dir``, made if missing; returns its path."""
+    os.makedirs(out_dir or ".", exist_ok=True)
+    path = os.path.join(out_dir, name)
+    atomic_write_text(path, text)
+    return path
 
 
 def _samples_csv_text(samples: np.ndarray) -> str:
-    lines = ["sample_id,step,log_return"]
-    for sample_id, window in enumerate(samples):
-        for step, value in enumerate(window):
-            lines.append(f"{sample_id},{step},{float(value)!r}")
-    return "\n".join(lines) + "\n"
+    rows = (
+        (sample_id, step, value)
+        for sample_id, window in enumerate(samples.tolist())
+        for step, value in enumerate(window)
+    )
+    return csv_text(("sample_id", "step", "log_return"), rows)
 
 
 def _read_returns_csv(path) -> np.ndarray:
-    """Parse either a price CSV (date,close) or a generated-sample CSV."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            header = handle.readline().strip()
-            if header == "sample_id,step,log_return":
-                return _read_sample_rows(path, handle)
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
-    if header == "date,close":
+    """Parse either a price CSV (date,close) or a generated-sample CSV.
+
+    A sample CSV gives the finite ``log_return`` column of its data rows.
+    """
+    header, rows = read_csv_rows(path)
+    names = [h.strip() for h in header or []]
+    if names == ["date", "close"]:
         return log_returns(load_price_csv(path)).values
-    raise DataError(
-        f"{path}: unrecognized header {header!r}; expected 'date,close' or "
-        f"'sample_id,step,log_return'"
-    )
-
-
-def _read_sample_rows(path, handle) -> np.ndarray:
-    """The finite ``log_return`` column of a sample CSV's data rows."""
+    if names != ["sample_id", "step", "log_return"]:
+        raise DataError(
+            f"{path}: unrecognized header {','.join(header or [])!r}; expected "
+            f"'date,close' or 'sample_id,step,log_return'"
+        )
     values = []
-    for lineno, raw in enumerate(handle, start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
+    for lineno, row in rows:
+        if len(row) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 fields")
         try:
-            value = float(fields[2])
+            value = float(row[2])
         except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad log_return {fields[2]!r}") from exc
+            raise DataError(f"{path}:{lineno}: bad log_return {row[2]!r}") from exc
         if not math.isfinite(value):
-            raise DataError(f"{path}:{lineno}: non-finite log_return {fields[2]!r}")
+            raise DataError(f"{path}:{lineno}: non-finite log_return {row[2]!r}")
         values.append(value)
     if not values:
         raise DataError(f"{path}: no data rows")
@@ -178,26 +165,19 @@ def _histogram_csv_text(real: np.ndarray, fake: np.ndarray, bins: int) -> str:
     edges = np.linspace(lo, hi, bins + 1)
     count_real, _ = np.histogram(real, bins=edges)
     count_fake, _ = np.histogram(fake, bins=edges)
-    lines = ["bin_left,bin_right,count_real,count_fake"]
-    for i in range(bins):
-        lines.append(
-            f"{float(edges[i])!r},{float(edges[i + 1])!r},{count_real[i]},{count_fake[i]}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = zip(edges[:-1].tolist(), edges[1:].tolist(), count_real, count_fake)
+    return csv_text(("bin_left", "bin_right", "count_real", "count_fake"), rows)
 
 
 def _write_report_files(real, fake, out_dir, bins):
-    from .metrics import k_day_aggregate
-
     report = build_report(real, fake)
-    os.makedirs(out_dir, exist_ok=True)
-    atomic_write_text(os.path.join(out_dir, "report.csv"), report.to_csv_text())
-    atomic_write_text(os.path.join(out_dir, "report.txt"), report.to_table_text())
+    _write(out_dir, "report.csv", report.to_csv_text())
+    _write(out_dir, "report.txt", report.to_table_text())
     for k in HISTOGRAM_HORIZONS:
         text = _histogram_csv_text(
             k_day_aggregate(real, k), k_day_aggregate(fake, k), bins
         )
-        atomic_write_text(os.path.join(out_dir, f"hist_k{k}.csv"), text)
+        _write(out_dir, f"hist_k{k}.csv", text)
     return report
 
 
@@ -206,17 +186,14 @@ def _write_report_files(real, fake, out_dir, bins):
 
 def cmd_train(args) -> int:
     run = parse_run_config(args.config, args.seed)
-    prices = load_price_csv(_require_input(run))
-    gaussianized, stats = prepare_training_returns(prices)
+    gaussianized, stats = prepare_training_returns(load_price_csv(run.input))
     result = train(gaussianized, run.model, stats)
     os.makedirs(run.output_dir, exist_ok=True)
-    save_checkpoint(result.checkpoint, os.path.join(run.output_dir, "checkpoint.bin"))
-    atomic_write_text(
-        os.path.join(run.output_dir, "loss_trace.csv"),
-        _loss_trace_text(result.epoch_losses),
-    )
-    print(f"wrote {os.path.join(run.output_dir, 'checkpoint.bin')}")
-    print(f"wrote {os.path.join(run.output_dir, 'loss_trace.csv')}")
+    checkpoint = os.path.join(run.output_dir, "checkpoint.bin")
+    save_checkpoint(result.checkpoint, checkpoint)
+    trace = csv_text(("epoch", "loss"), enumerate(result.epoch_losses))
+    print(f"wrote {checkpoint}")
+    print(f"wrote {_write(run.output_dir, 'loss_trace.csv', trace)}")
     return EXIT_OK
 
 
@@ -224,7 +201,7 @@ def cmd_generate(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     conditioning = log_returns(load_price_csv(args.input)).values
     samples = generate(checkpoint, conditioning, args.samples, seed=args.seed or 0)
-    atomic_write_text(args.out, _samples_csv_text(samples))
+    _write(*os.path.split(args.out), _samples_csv_text(samples))
     print(f"wrote {args.out} ({samples.shape[0]} windows of {samples.shape[1]})")
     return EXIT_OK
 
@@ -245,28 +222,20 @@ def cmd_ablate(args) -> int:
     # ablated() rejects an unknown component before any I/O or training
     variants = [("baseline", run.model)]
     variants += [(f"w/o {c}", run.model.ablated(c)) for c in components]
-    prices = load_price_csv(_require_input(run))
+    prices = load_price_csv(run.input)
     raw_returns = log_returns(prices).values
     gaussianized, stats = prepare_training_returns(prices)
-    os.makedirs(run.output_dir, exist_ok=True)
 
     rows = []
     for label, cfg in variants:
         result = train(gaussianized, cfg, stats)
         samples = generate(result.checkpoint, raw_returns, run.n_samples, seed=cfg.seed)
         report = build_report(raw_returns, samples.ravel())
-        rows.append((label, report))
+        rows.append((label, *(report.values[m] for m in REPORT_LABELS)))
         print(f"{label}: done")
 
-    from .metrics import REPORT_LABELS
-
-    lines = ["variant," + ",".join(REPORT_LABELS)]
-    for label, report in rows:
-        cells = ",".join(repr(report.values[m]) for m in REPORT_LABELS)
-        lines.append(f"{label},{cells}")
-    out = os.path.join(run.output_dir, "ablation.csv")
-    atomic_write_text(out, "\n".join(lines) + "\n")
-    print(f"wrote {out}")
+    table = csv_text(("variant",) + REPORT_LABELS, rows)
+    print(f"wrote {_write(run.output_dir, 'ablation.csv', table)}")
     return EXIT_OK
 
 
@@ -274,7 +243,7 @@ def cmd_baseline(args) -> int:
     run = parse_run_config(args.config, args.seed)
     if run.baseline is None:
         raise ConfigError(f"config key 'baseline' (one of {BASELINE_CHOICES}) is required")
-    prices = load_price_csv(_require_input(run))
+    prices = load_price_csv(run.input)
     seq_len = run.model.seq_len
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(run.model.seed)))
 
@@ -289,9 +258,7 @@ def cmd_baseline(args) -> int:
         paths = gbm_simulate(params, seq_len, max(run.n_samples, 1), rng)
         samples = np.diff(np.log(paths), axis=1)
         samples = samples[: run.n_samples]
-    os.makedirs(run.output_dir, exist_ok=True)
-    out = os.path.join(run.output_dir, f"{run.baseline}_samples.csv")
-    atomic_write_text(out, _samples_csv_text(samples))
+    out = _write(run.output_dir, f"{run.baseline}_samples.csv", _samples_csv_text(samples))
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -1,9 +1,54 @@
-"""Atomic file writing: write to a temp sibling, then rename into place."""
+"""File I/O: one CSV reader, one CSV writer, and atomic writes.
+
+Every CSV the package reads goes through `read_csv_rows`, so price and
+sample files follow the same `csv` rules and the same blank-row rule.
+Every CSV it writes is built by `csv_text`. Every file it writes is
+written to a temp sibling, then renamed into place.
+"""
 
 from __future__ import annotations
 
+import csv
 import os
 import tempfile
+
+from .errors import DataError
+
+
+def read_csv_rows(path):
+    """The header row and the numbered data rows of a UTF-8 CSV file.
+
+    Returns ``(header, rows)``: ``header`` is the first row (None for an
+    empty file) and ``rows`` pairs every later row that is not blank with
+    its 1-based row number. A blank row is empty or one whitespace-only
+    field. A file that cannot be opened, decoded or parsed is a
+    `DataError` naming it.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from exc
+    body = [
+        (lineno, row)
+        for lineno, row in enumerate(rows[1:], start=2)
+        if len(row) > 1 or (row and row[0].strip())
+    ]
+    return (rows[0] if rows else None), body
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of a header and rows, one line each; floats written by their repr."""
+    lines = [",".join(header)]
+    lines += [
+        ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def atomic_write_bytes(path, data: bytes):

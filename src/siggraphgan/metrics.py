@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError, SizeError
+from .ioutil import csv_text
 from .signature import leadlag_window_mean
 
 HORIZONS = (1, 5, 20, 100)
@@ -65,16 +66,13 @@ def k_day_aggregate(returns, k: int) -> np.ndarray:
 def emd_1d(xs, ys) -> float:
     """Earth mover's (Wasserstein-1) distance between 1-D samples.
 
-    Equal sizes reduce to the mean absolute gap between order statistics;
-    unequal sizes use the exact piecewise integral of |F_x - F_y| over the
-    merged support.
+    The exact piecewise integral of |F_x - F_y| over the merged support,
+    for samples of any sizes.
     """
     x = np.sort(np.asarray(xs, dtype=np.float64))
     y = np.sort(np.asarray(ys, dtype=np.float64))
     if x.size == 0 or y.size == 0:
         raise SizeError("emd_1d needs nonempty samples")
-    if x.size == y.size:
-        return float(np.mean(np.abs(x - y)))
     support = np.concatenate([x, y])
     support.sort(kind="mergesort")
     zs = support[:-1]
@@ -129,11 +127,9 @@ class MetricsReport:
                 raise ShapeError(f"report is missing metric {label!r}")
 
     def to_csv_text(self) -> str:
-        lines = ["metric,raw,display_x100"]
-        for label in REPORT_LABELS:
-            raw = self.values[label]
-            lines.append(f"{label},{raw!r},{raw * 100.0!r}")
-        return "\n".join(lines) + "\n"
+        rows = ((label, self.values[label], self.values[label] * 100.0)
+                for label in REPORT_LABELS)
+        return csv_text(("metric", "raw", "display_x100"), rows)
 
     def to_table_text(self) -> str:
         width = max(len(label) for label in REPORT_LABELS)

@@ -257,13 +257,16 @@ def _leadlag_forward(series: np.ndarray, degree: int):
     snapshots = np.empty((2 * diffs.shape[0], sig_length(2, degree - 1), x.shape[0]))
     kept = tables.flat[: snapshots.shape[1]]
     scale, terms = np.empty((2, tables.runs.shape[0], x.shape[0]))
-    for t, a in enumerate(diffs):
-        _step_powers(a, degree).take(tables.runs, axis=0, out=scale, mode="clip")
-        for c in (0, 1):
-            prev = snapshots[2 * t + c]
-            work.take(kept, axis=0, out=prev, mode="clip")
-            words = work[tables.words[c]]
-            _chen_step(words, prev, scale, tables.sources[c], tables.blocks, terms)
+    # an overflow becomes inf or nan, which the caller's finiteness check
+    # reports as a NumericError, also where warnings are errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, a in enumerate(diffs):
+            _step_powers(a, degree).take(tables.runs, axis=0, out=scale, mode="clip")
+            for c in (0, 1):
+                prev = snapshots[2 * t + c]
+                work.take(kept, axis=0, out=prev, mode="clip")
+                words = work[tables.words[c]]
+                _chen_step(words, prev, scale, tables.sources[c], tables.blocks, terms)
     cache = (x.shape, diffs, snapshots, degree)
     del scale, terms  # freed before the result is laid out, which copies work twice
     sig = np.ascontiguousarray(work[tables.flat].T)
@@ -291,21 +294,22 @@ def _leadlag_vjp(cache, grad_out: np.ndarray) -> np.ndarray:
     grad_sig = g.T.copy()  # updated in place, so never a view of grad_out
     grad_steps = np.zeros((snapshots.shape[0], bshape[0]))
 
-    for t in range(diffs.shape[0] - 1, -1, -1):
-        powers = _step_powers(diffs[t], degree)
-        scale = powers[tables.runs]  # a^r / r!
-        dscale = powers[tables.runs - 1]  # d(a^r / r!)/da = a^(r-1) / (r-1)!
-        for c in (1, 0):
-            grads = grad_sig[tables.targets[c]]
-            terms = grads * snapshots[2 * t + c][tables.rows]
-            terms *= dscale
-            ga = grad_steps[2 * t + c]
-            for start, stop in tables.blocks:
-                # adds row by row, in word order; a pairwise sum would round differently
-                ga += terms[start:stop].sum(axis=0)
-            grads *= scale
-            for start, stop in tables.blocks:
-                grad_sig[: stop - start] += grads[start:stop]
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the forward
+        for t in range(diffs.shape[0] - 1, -1, -1):
+            powers = _step_powers(diffs[t], degree)
+            scale = powers[tables.runs]  # a^r / r!
+            dscale = powers[tables.runs - 1]  # d(a^r / r!)/da = a^(r-1) / (r-1)!
+            for c in (1, 0):
+                grads = grad_sig[tables.targets[c]]
+                terms = grads * snapshots[2 * t + c][tables.rows]
+                terms *= dscale
+                ga = grad_steps[2 * t + c]
+                for start, stop in tables.blocks:
+                    # adds row by row, in word order; a pairwise sum would round differently
+                    ga += terms[start:stop].sum(axis=0)
+                grads *= scale
+                for start, stop in tables.blocks:
+                    grad_sig[: stop - start] += grads[start:stop]
 
     # each series difference moves the lead coordinate, then the lag one
     grad_diffs = (grad_steps[0::2] + grad_steps[1::2]).T

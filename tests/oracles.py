@@ -30,6 +30,12 @@ comparisons.
 output array, element by element; the package's Python-float recursion
 must give the same bits.
 
+`fit_delta_budgeted` is the tail-weight search as first written: a
+bracket doubled from 0.25 and a bisection, both counted against a budget
+of 200 trial deltas. The package's fixed bracket and width-bounded
+bisection must try the same deltas in the same order. It looks up
+`gaussianize` and `excess_kurtosis` at call time, as `fit_delta` does.
+
 `fixture_csv_text` writes `fixture_prices` as the text of a price CSV;
 the bundled fixture file must equal it.
 """
@@ -41,6 +47,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from siggraphgan import autodiff as ad
+from siggraphgan import preprocess as pp
 from siggraphgan.baselines import GARCH_BURN_IN
 from siggraphgan.errors import ShapeError, SizeError
 from siggraphgan.fixture import fixture_prices
@@ -155,6 +162,48 @@ def garch_simulate_loop(params, n, rng):
             sig2 = params.omega + params.alpha * out[t - 1] ** 2 + params.beta * sig2
         out[t] = math.sqrt(sig2) * shocks[t]
     return out[GARCH_BURN_IN:]
+
+
+def fit_delta_budgeted(samples, max_iterations: int = 200):
+    """(delta, the trial deltas in order) of the budgeted tail-weight search."""
+    arr = np.asarray(samples, dtype=np.float64)
+    tried = []
+
+    def kurt_at(delta):
+        tried.append(delta)
+        return pp.excess_kurtosis(pp.gaussianize(arr, delta))
+
+    def search():
+        iterations = 1
+        if kurt_at(0.0) <= pp.FIT_DELTA_TOLERANCE:
+            return 0.0
+        lo, hi = 0.0, 0.25
+        while iterations < max_iterations:
+            k_hi = kurt_at(hi)
+            iterations += 1
+            if abs(k_hi) <= pp.FIT_DELTA_TOLERANCE:
+                return hi
+            if k_hi < 0.0:
+                break
+            lo = hi
+            if hi >= pp.DELTA_MAX:
+                return pp.DELTA_MAX
+            hi = min(2.0 * hi, pp.DELTA_MAX)
+        else:
+            return hi
+        while iterations < max_iterations:
+            mid = 0.5 * (lo + hi)
+            k_mid = kurt_at(mid)
+            iterations += 1
+            if abs(k_mid) <= pp.FIT_DELTA_TOLERANCE or (hi - lo) < 1e-12:
+                return mid
+            if k_mid > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    return search(), tried
 
 
 def tsum(t):

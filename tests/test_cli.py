@@ -72,6 +72,17 @@ def test_readme_config_example_parses(tmp_path):
     assert run.n_samples == 200
 
 
+@pytest.mark.parametrize("command", ["train", "ablate", "baseline"])
+def test_config_without_input_exits_2(tmp_path, price_csv, capsys, command):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", price_csv, out, baseline="garch")
+    lines = cfg.read_text().splitlines(keepends=True)
+    cfg.write_text("".join(line for line in lines if not line.startswith("input ")))
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    assert "'input'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_checkpoint_section_matches_format():
     """The README states the checkpoint's current version line and config line count."""
     readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
@@ -218,6 +229,12 @@ class TestGenerate:
             )
             written.append(out.read_bytes())
         assert written[0] == written[1]
+
+    def test_missing_out_directory_is_made(self, trained_dir, price_csv, tmp_path):
+        out = tmp_path / "new" / "fake.csv"
+        argv = generate_argv(trained_dir / "checkpoint.bin", price_csv, tmp_path)
+        assert cli.main(argv[:-1] + [str(out)]) == 0
+        assert out.read_text().startswith("sample_id,step,log_return\n")
 
     def test_undecodable_input_exits_3(self, trained_dir, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

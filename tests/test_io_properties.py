@@ -11,17 +11,19 @@ come from the derandomized profile in conftest.py, so every run checks the
 same cases.
 """
 
+import datetime
 import io
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import fixture_csv_text
 from siggraphgan import cli, ioutil
 from siggraphgan.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from siggraphgan.errors import CheckpointParseError, ConfigError
-from siggraphgan.preprocess import PreprocessStats
+from siggraphgan.errors import CheckpointParseError, ConfigError, DataError
+from siggraphgan.preprocess import PreprocessStats, load_price_csv
 from siggraphgan.siggan import (
     ABLATIONS,
     GRAPH_DIRECTIONS,
@@ -190,3 +192,49 @@ def test_any_csv_bytes_exit_2_or_3(workdir, price_csv, data, side):
     argv[argv.index(side) + 1] = str(path)
     assert cli.main(argv) in (2, 3)
     assert not (workdir / "eval").exists()
+
+
+def row_number(exc, path) -> str:
+    """The ``:N`` that follows the path in a data error, or "" for a whole-file error."""
+    return str(exc)[len(str(path)):].split(" ")[0].rstrip(":")
+
+
+@given(
+    kinds=st.lists(st.sampled_from(["plain", "quoted", "blank", "spaces"]), max_size=12),
+    values=st.lists(st.floats(0.01, 1e6), min_size=12, max_size=12),
+    bad=st.one_of(st.none(), st.integers(0, 11)),
+)
+def test_sample_csv_reads_as_price_csv(workdir, kinds, values, bad):
+    """The same rows, quoted or not and among blank or whitespace-only rows,
+    give the same values, or fail at the same row, in both kinds of CSV."""
+    assume(sum(kind in ("plain", "quoted") for kind in kinds) >= 2)  # a price series' minimum
+    start = datetime.date(2020, 1, 1)
+    price, sample = ["date,close"], ["sample_id,step,log_return"]
+    for i, (kind, value) in enumerate(zip(kinds, values)):
+        cell = "zzz" if i == bad else repr(value)
+        if kind in ("blank", "spaces"):
+            price.append("" if kind == "blank" else " \t")
+            sample.append(price[-1])
+            continue
+        if kind == "quoted":
+            cell = f'"{cell}"'
+        price.append(f"{start + datetime.timedelta(days=i)},{cell}")
+        sample.append(f"0,{i},{cell}")
+    outcomes = []
+    for name, lines, read in (("price.csv", price, lambda p: load_price_csv(p).closes),
+                              ("sample.csv", sample, cli._read_returns_csv)):
+        path = workdir / name
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            outcomes.append(read(path).tolist())
+        except DataError as exc:
+            outcomes.append(row_number(exc, path))
+    assert outcomes[0] == outcomes[1]
+
+
+@given(rows=st.lists(st.tuples(st.integers(-(10**6), 10**6), st.floats()), max_size=20))
+def test_csv_text_matches_hand_joined_lines(rows):
+    """Floats, numpy's included, are written by their repr, ints by str."""
+    text = "\n".join(["n,x"] + [f"{n},{x!r}" for n, x in rows]) + "\n"
+    assert ioutil.csv_text(("n", "x"), rows) == text
+    assert ioutil.csv_text(("n", "x"), [(np.int64(n), np.float64(x)) for n, x in rows]) == text

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import fit_delta_budgeted
 from siggraphgan import preprocess as pp
 from siggraphgan.errors import (
     DataError,
@@ -170,6 +173,17 @@ class TestGaussianization:
             pp.degaussianize(60.0, 1.0)
 
 
+def fit_delta_samples(kind, rng, n):
+    """Student-t, light-tailed (uniform), or normal with outliers no delta <= 5 tames."""
+    if kind == "student_t":
+        return rng.standard_t(rng.uniform(2.5, 30.0), n)
+    if kind == "light":
+        return rng.uniform(-1.0, 1.0, n)
+    sample = rng.standard_normal(n)
+    sample[: rng.integers(1, 4)] = 10.0 ** rng.uniform(40.0, 60.0)
+    return sample
+
+
 class TestFitDelta:
     def test_standard_normal_sample(self):
         sample = np.random.default_rng(42).standard_normal(10_000)
@@ -187,6 +201,48 @@ class TestFitDelta:
     def test_too_short(self):
         with pytest.raises(SizeError):
             pp.fit_delta(np.zeros(50))
+
+    @staticmethod
+    def trial_deltas(sample):
+        """(delta, the trial deltas in order) of `fit_delta` on ``sample``."""
+        tried = []
+
+        def recording(values, delta):
+            tried.append(delta)
+            return gaussianize(values, delta)
+
+        gaussianize = pp.gaussianize
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pp, "gaussianize", recording)
+            return pp.fit_delta(sample), tried
+
+    @pytest.mark.parametrize("kind,expected", [("light", 0.0), ("clamped", pp.DELTA_MAX)])
+    def test_search_ends(self, kind, expected):
+        sample = fit_delta_samples(kind, np.random.default_rng(3), 500)
+        delta, tried = self.trial_deltas(sample)
+        assert delta == expected
+        assert (delta, tried) == fit_delta_budgeted(sample)
+
+    @given(kind=st.sampled_from(["student_t", "light", "clamped"]),
+           seed=st.integers(0, 2**32 - 1), n=st.integers(100, 1000))
+    def test_search_matches_budgeted_reference(self, kind, seed, n):
+        """Same deltas tried in the same order as the budgeted search."""
+        sample = fit_delta_samples(kind, np.random.default_rng(seed), n)
+        delta, tried = self.trial_deltas(sample)
+        assert (delta, tried) == fit_delta_budgeted(sample)
+        assert len(tried) <= 48
+
+    @pytest.mark.parametrize("root,trials", [(0.1, 41), (0.3, 42), (1.5, 46), (3.0, 48),
+                                             (4.999, 48)])
+    def test_width_bounds_the_bisection(self, monkeypatch, root, trials):
+        """A kurtosis that jumps across zero is never within tolerance, so only
+        the bracket's width ends the search: 48 trial deltas at most."""
+        monkeypatch.setattr(pp, "gaussianize", lambda values, delta: delta)
+        monkeypatch.setattr(pp, "excess_kurtosis", lambda delta: 1.0 if delta < root else -1.0)
+        delta, tried = self.trial_deltas(np.arange(200.0))
+        assert (delta, tried) == fit_delta_budgeted(np.arange(200.0))
+        assert len(tried) == trials
+        assert abs(delta - root) < 1e-12
 
     def test_non_finite_rejected(self):
         bad = np.ones(200)
