@@ -30,7 +30,7 @@ from .errors import (
 )
 from .ioutil import atomic_write_text, csv_text, read_csv_rows
 from .metrics import REPORT_LABELS, build_report, k_day_aggregate
-from .preprocess import load_price_csv, log_returns, prepare_training_returns
+from .preprocess import load_price_csv, log_returns, prepare_training_returns, prices_from_rows
 from .siggan import ABLATION_COMPONENTS, SigGanConfig, generate, parse_config_value, train
 
 EXIT_OK = 0
@@ -135,7 +135,7 @@ def _read_returns_csv(path) -> np.ndarray:
     header, rows = read_csv_rows(path)
     names = [h.strip() for h in header or []]
     if names == ["date", "close"]:
-        return log_returns(load_price_csv(path)).values
+        return log_returns(prices_from_rows(path, header, rows)).values
     if names != ["sample_id", "step", "log_return"]:
         raise DataError(
             f"{path}: unrecognized header {','.join(header or [])!r}; expected "

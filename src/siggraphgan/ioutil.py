@@ -22,11 +22,12 @@ def read_csv_rows(path):
     empty file) and ``rows`` pairs every later row that is not blank with
     its 1-based row number. A blank row is empty or one whitespace-only
     field. A file that cannot be opened, decoded or parsed is a
-    `DataError` naming it.
+    `DataError` naming it; the parse is strict, so an unterminated quote
+    or text after a closing quote is one.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
+            rows = list(csv.reader(handle, strict=True))
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -32,6 +32,10 @@ DELTA_IDENTITY_CUTOFF = 1e-8
 
 DELTA_MAX = 5.0
 
+# lambert_w0 is computed on [0, LAMBERT_MAX]: there its Halley iteration
+# from log1p(x) neither overflows nor divides by zero.
+LAMBERT_MAX = 1e300
+
 # fit_delta stops once the gaussianized sample's excess kurtosis lies
 # within this of zero.
 FIT_DELTA_TOLERANCE = 0.01
@@ -112,69 +116,47 @@ def log_returns(prices: PriceSeries) -> ReturnSeries:
     return ReturnSeries(np.diff(np.log(closes)))
 
 
-_INV_E = math.exp(-1.0)
-
-
 def lambert_w0(x):
-    """Principal branch of the Lambert W function.
+    """Principal branch of the Lambert W function on [0, `LAMBERT_MAX`].
 
-    Solves w * exp(w) = x for w >= -1, valid for x >= -1/e. Vectorized
-    Halley iteration from a log-based initial guess; elements that fail the
-    residual test (possible only near the branch point) fall back to a
-    guaranteed bisection.
+    Solves w * exp(w) = x by a vectorized Halley iteration from log1p(x).
+    Raises `DomainError` naming the first input outside that range: negative,
+    NaN, inf, or above the bound. `gaussianize` asks only for W(delta z^2).
 
     Accepts a scalar or an array of any shape, and returns an array.
     """
     arr = np.asarray(x, dtype=np.float64)
     flat = arr.reshape(-1)
-    if np.any(flat < -_INV_E):
-        bad = float(flat[flat < -_INV_E][0])
-        raise DomainError(f"lambert_w0 undefined for x = {bad} < -1/e")
+    outside = ~((flat >= 0.0) & (flat <= LAMBERT_MAX))
+    if np.any(outside):
+        bad = float(flat[outside][0])
+        raise DomainError(f"lambert_w0 is computed on [0, {LAMBERT_MAX:g}], got x = {bad}")
 
-    # log1p is branch-safe on (-1/e, inf) and close enough for Halley.
-    with np.errstate(all="ignore"):
-        w = np.log1p(np.maximum(flat, -_INV_E + 1e-300))
-        for _ in range(64):
-            ew = np.exp(w)
-            f = w * ew - flat
-            wp1 = w + 1.0
-            denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-            step = np.where(denom != 0.0, f / np.where(denom != 0.0, denom, 1.0), 0.0)
-            w = w - step
-            if np.all(np.abs(step) <= 1e-16 * (1.0 + np.abs(w))):
-                break
-        residual = np.abs(w * np.exp(w) - flat)
-    bad_mask = ~(residual <= 1e-12 * np.maximum(1.0, np.abs(flat)))
-    if np.any(bad_mask):
-        for i in np.flatnonzero(bad_mask):
-            w[i] = _lambert_w0_bisect(float(flat[i]))
+    w = np.log1p(flat)
+    for _ in range(64):
+        ew = np.exp(w)
+        f = w * ew - flat
+        wp1 = w + 1.0
+        step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+        w = w - step
+        if np.all(np.abs(step) <= 1e-16 * (1.0 + np.abs(w))):
+            break
     return w.reshape(arr.shape)
-
-
-def _lambert_w0_bisect(x: float) -> float:
-    lo, hi = -1.0, 1.0
-    while hi * math.exp(hi) < x:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid * math.exp(mid) < x:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def gaussianize(z, delta: float) -> np.ndarray:
     """Shrink heavy tails: u = sgn(z) * sqrt(W(delta z^2) / delta).
 
     For delta below the identity cutoff the input is returned unchanged.
-    Works elementwise on arrays.
+    Works elementwise on arrays. A delta z^2 above `LAMBERT_MAX`, or one
+    that overflows to inf, is a `DomainError`.
     """
     arr = np.asarray(z, dtype=np.float64)
     if delta <= DELTA_IDENTITY_CUTOFF:
         return arr.copy()
-    w = lambert_w0(delta * arr * arr)
-    return np.sign(arr) * np.sqrt(w / delta)
+    with np.errstate(over="ignore"):  # an overflow reaches lambert_w0's check as inf
+        x = delta * arr * arr
+    return np.sign(arr) * np.sqrt(lambert_w0(x) / delta)
 
 
 def degaussianize(u, delta: float) -> np.ndarray:
@@ -290,7 +272,15 @@ def prepare_training_returns(prices: PriceSeries) -> tuple[np.ndarray, Preproces
 
 def load_price_csv(path) -> PriceSeries:
     """Read a ``date,close`` CSV with ISO dates in strictly ascending order."""
-    header, rows = read_csv_rows(path)
+    return prices_from_rows(path, *read_csv_rows(path))
+
+
+def prices_from_rows(path, header, rows) -> PriceSeries:
+    """The `PriceSeries` of a ``date,close`` CSV's `read_csv_rows` output.
+
+    ``path`` only names the file in the `DataError` messages, at
+    ``path:line`` for a bad row.
+    """
     if header is None or [h.strip() for h in header] != ["date", "close"]:
         raise DataError(f"{path}: expected header 'date,close', got {header}")
     timestamps: list[datetime.date] = []

@@ -198,22 +198,24 @@ def _step_powers(a: np.ndarray, degree: int) -> np.ndarray:
     return powers
 
 
-def _chen_step(words, prev, scale, sources, blocks, terms) -> None:
-    """Append one single-coordinate segment to a working signature.
+def _chen_step(work, c, prev, scale, terms, tables) -> None:
+    """Append one segment along letter index ``c`` to a working signature.
 
-    ``words`` holds, updated in place, the working rows of every word ending
-    in the segment's letter (one `_step_tables` group, (n_1, B)); ``prev``
-    holds levels 0..degree-1 of the signature before the step, in the flat
-    layout. ``sources`` and ``blocks`` are the letter's `_step_tables`
-    entries, and ``scale`` holds, for every entry, the a^r / r! row of its
-    run length r. ``terms``, as large as ``scale``, is the caller's work
-    buffer, so a scan allocates nothing per step.
+    ``work`` is the (L, B) working signature in the `_step_tables` layout,
+    updated in place. The step first gathers levels 0..degree-1 of it, in
+    the flat layout, into ``prev``: the rows it reads as sources, which the
+    forward keeps for the adjoint. ``scale`` holds, for every `_step_tables`
+    entry, the a^r / r! row of its run length r. ``terms``, as large as
+    ``scale``, is the caller's work buffer, so a scan allocates nothing per
+    step.
     """
     # every index is in range; 'clip' lets take write straight into ``out``,
     # which the default 'raise' would fill through a fresh buffer
-    prev.take(sources, axis=0, out=terms, mode="clip")
+    work.take(tables.flat[: prev.shape[0]], axis=0, out=prev, mode="clip")
+    prev.take(tables.sources[c], axis=0, out=terms, mode="clip")
     terms *= scale
-    for start, stop in blocks:
+    words = work[tables.words[c]]
+    for start, stop in tables.blocks:
         words[: stop - start] += terms[start:stop]
 
 
@@ -224,59 +226,52 @@ def leadlag_signature_batch(series: np.ndarray, degree: int = 5) -> np.ndarray:
     coefficients with L = 2^(degree+1) - 1, matching the word-indexed
     `path_signature` of `lead_lag` in ``tests/oracles.py``.
     """
-    sig, _ = _leadlag_forward(series, degree)
-    return sig
+    x = np.asarray(series, dtype=np.float64)
+    if x.ndim == 1:
+        return _leadlag_forward(x[np.newaxis], degree)[0][0]
+    return _leadlag_forward(x, degree)[0]
 
 
 def _leadlag_forward(series: np.ndarray, degree: int):
-    """Lead-lag signatures of a batch of series, plus the adjoint's cache.
+    """Lead-lag signatures of a (B, n) batch of series, plus the adjoint's cache.
 
     For series values x[., 0..n-1] the path moves the lead coordinate, then
     the lag coordinate, both by x[., k+1] - x[., k]: 2(n-1) Chen steps, the
-    two of each difference sharing one `_step_powers`. The working signature
-    is coefficient-major, (L, B), in the `_step_tables` layout, so every
-    gather moves whole contiguous rows of B values and each step updates
-    one block of rows in place. Before each step the cache keeps a snapshot
-    of levels 0..degree-1 only, in the flat layout, the rows that step reads
-    as sources: (2(n-1), sig_length(2, degree-1), B) in all. The result is
-    returned row-major and flat, (B, L) or (L,).
+    two of each difference sharing one column of `_step_powers`, which is
+    formed for all differences at once and kept for the adjoint. The
+    working signature is coefficient-major, (L, B), in the `_step_tables`
+    layout, so every gather moves whole contiguous rows of B values and
+    each step updates one block of rows in place. The cache also keeps
+    each step's snapshot of levels 0..degree-1, in the flat layout:
+    (2(n-1), sig_length(2, degree-1), B) in all. The result is returned
+    row-major and flat, (B, L).
     """
     x = np.asarray(series, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[np.newaxis, :]
     if x.ndim != 2:
         raise ShapeError(f"series batch must be (B, n), got shape {x.shape}")
     if x.shape[1] < 2:
         raise SizeError(f"lead_lag needs >= 2 points, got {x.shape[1]}")
 
-    diffs = np.ascontiguousarray(np.diff(x, axis=1).T)  # (n-1, B)
     tables = _step_tables(degree)
     work = np.zeros((sig_length(2, degree), x.shape[0]))
     work[0] = 1.0
-    snapshots = np.empty((2 * diffs.shape[0], sig_length(2, degree - 1), x.shape[0]))
-    kept = tables.flat[: snapshots.shape[1]]
+    snapshots = np.empty((2 * (x.shape[1] - 1), sig_length(2, degree - 1), x.shape[0]))
     scale, terms = np.empty((2, tables.runs.shape[0], x.shape[0]))
     # an overflow becomes inf or nan, which the caller's finiteness check
     # reports as a NumericError, also where warnings are errors
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, a in enumerate(diffs):
-            _step_powers(a, degree).take(tables.runs, axis=0, out=scale, mode="clip")
+        powers = _step_powers(np.diff(x, axis=1).T, degree)  # (degree + 1, n-1, B)
+        for t in range(powers.shape[1]):
+            powers[:, t].take(tables.runs, axis=0, out=scale, mode="clip")
             for c in (0, 1):
-                prev = snapshots[2 * t + c]
-                work.take(kept, axis=0, out=prev, mode="clip")
-                words = work[tables.words[c]]
-                _chen_step(words, prev, scale, tables.sources[c], tables.blocks, terms)
-    cache = (x.shape, diffs, snapshots, degree)
+                _chen_step(work, c, snapshots[2 * t + c], scale, terms, tables)
+    cache = (x.shape, powers, snapshots, degree)
     del scale, terms  # freed before the result is laid out, which copies work twice
-    sig = np.ascontiguousarray(work[tables.flat].T)
-    if single:
-        return sig[0], cache
-    return sig, cache
+    return np.ascontiguousarray(work[tables.flat].T), cache
 
 
 def _leadlag_vjp(cache, grad_out: np.ndarray) -> np.ndarray:
-    """Exact adjoint of `_leadlag_forward` with respect to the input series.
+    """Exact adjoint of `_leadlag_forward` with respect to the (B, n) series.
 
     Runs coefficient-major in the flat layout: the signature adjoint is
     (L, B) and the step adjoint (2(n-1), B). A step's adjoint gathers,
@@ -285,20 +280,16 @@ def _leadlag_vjp(cache, grad_out: np.ndarray) -> np.ndarray:
     signature before the step takes each run as one prefix add, in run
     order, as the forward adds.
     """
-    (bshape, diffs, snapshots, degree) = cache
-    g = np.asarray(grad_out, dtype=np.float64)
-    single = g.ndim == 1
-    if single:
-        g = g[np.newaxis, :]
+    (bshape, powers, snapshots, degree) = cache
     tables = _step_tables(degree)
-    grad_sig = g.T.copy()  # updated in place, so never a view of grad_out
+    # updated in place, so never a view of grad_out
+    grad_sig = np.asarray(grad_out, dtype=np.float64).T.copy()
     grad_steps = np.zeros((snapshots.shape[0], bshape[0]))
 
     with np.errstate(over="ignore", invalid="ignore"):  # as in the forward
-        for t in range(diffs.shape[0] - 1, -1, -1):
-            powers = _step_powers(diffs[t], degree)
-            scale = powers[tables.runs]  # a^r / r!
-            dscale = powers[tables.runs - 1]  # d(a^r / r!)/da = a^(r-1) / (r-1)!
+        for t in range(powers.shape[1] - 1, -1, -1):
+            scale = powers[tables.runs, t]  # a^r / r!
+            dscale = powers[tables.runs - 1, t]  # d(a^r / r!)/da = a^(r-1) / (r-1)!
             for c in (1, 0):
                 grads = grad_sig[tables.targets[c]]
                 terms = grads * snapshots[2 * t + c][tables.rows]
@@ -316,8 +307,6 @@ def _leadlag_vjp(cache, grad_out: np.ndarray) -> np.ndarray:
     grad_x = np.zeros(bshape)
     grad_x[:, 1:] += grad_diffs
     grad_x[:, :-1] -= grad_diffs
-    if single:
-        return grad_x[0]
     return grad_x
 
 
@@ -365,7 +354,6 @@ def leadlag_window_mean(series, points: int, degree: int = 5) -> np.ndarray:
     powers = _step_powers(increments, degree)  # (degree + 1, m, n_blocks), both scans
     length = sig_length(2, degree)
     prev = np.empty((sig_length(2, degree - 1), n_blocks))
-    kept = tables.flat[: prev.shape[0]]
     scale, terms = np.empty((2, tables.runs.shape[0], n_blocks))
 
     def running(order, coords):
@@ -375,9 +363,7 @@ def leadlag_window_mean(series, points: int, degree: int = 5) -> np.ndarray:
         for r in order:
             powers[:, r].take(tables.runs, axis=0, out=scale, mode="clip")
             for c in coords:
-                work.take(kept, axis=0, out=prev, mode="clip")
-                words = work[tables.words[c]]
-                _chen_step(words, prev, scale, tables.sources[c], tables.blocks, terms)
+                _chen_step(work, c, prev, scale, terms, tables)
             yield r, work
 
     # (L, m, n_blocks): each scan step writes L contiguous rows, and the

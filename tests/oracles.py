@@ -36,6 +36,11 @@ of 200 trial deltas. The package's fixed bracket and width-bounded
 bisection must try the same deltas in the same order. It looks up
 `gaussianize` and `excess_kurtosis` at call time, as `fit_delta` does.
 
+`lambert_w0_guarded` and `lambert_w0_bisect` are the principal Lambert W
+as first written, with a branch-point clamp, a zero-denominator guard and
+a bisection fallback; on [0, 1e300] the package's one Halley branch must
+give the same bits.
+
 `fixture_csv_text` writes `fixture_prices` as the text of a price CSV;
 the bundled fixture file must equal it.
 """
@@ -49,7 +54,7 @@ from scipy.optimize import linprog
 from siggraphgan import autodiff as ad
 from siggraphgan import preprocess as pp
 from siggraphgan.baselines import GARCH_BURN_IN
-from siggraphgan.errors import ShapeError, SizeError
+from siggraphgan.errors import DomainError, ShapeError, SizeError
 from siggraphgan.fixture import fixture_prices
 from siggraphgan.signature import _run_tables, _word_reversal, level_offsets, sig_length
 
@@ -204,6 +209,50 @@ def fit_delta_budgeted(samples, max_iterations: int = 200):
         return 0.5 * (lo + hi)
 
     return search(), tried
+
+
+def lambert_w0_guarded(x):
+    """Principal Lambert W as first written, for any x >= -1/e.
+
+    The package's Halley iteration with the branch-point clamp, the guard
+    against a zero denominator and a residual test whose failures fall back
+    to `lambert_w0_bisect`. On [0, 1e300] the package's single branch must
+    give the same bits.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    flat = arr.reshape(-1)
+    inv_e = math.exp(-1.0)
+    if np.any(flat < -inv_e):
+        raise DomainError(f"lambert_w0 undefined for x = {float(flat[flat < -inv_e][0])} < -1/e")
+    with np.errstate(all="ignore"):
+        w = np.log1p(np.maximum(flat, -inv_e + 1e-300))
+        for _ in range(64):
+            ew = np.exp(w)
+            f = w * ew - flat
+            wp1 = w + 1.0
+            denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
+            step = np.where(denom != 0.0, f / np.where(denom != 0.0, denom, 1.0), 0.0)
+            w = w - step
+            if np.all(np.abs(step) <= 1e-16 * (1.0 + np.abs(w))):
+                break
+        residual = np.abs(w * np.exp(w) - flat)
+    for i in np.flatnonzero(~(residual <= 1e-12 * np.maximum(1.0, np.abs(flat)))):
+        w[i] = lambert_w0_bisect(float(flat[i]))
+    return w.reshape(arr.shape)
+
+
+def lambert_w0_bisect(x: float) -> float:
+    """W(x) by 200 halvings of a bracket doubled up from [-1, 1]."""
+    lo, hi = -1.0, 1.0
+    while hi * math.exp(hi) < x:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid * math.exp(mid) < x:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def tsum(t):

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from oracles import fixture_csv_text
-from siggraphgan import cli
+from siggraphgan import cli, preprocess
 from siggraphgan.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from siggraphgan.errors import CheckpointParseError, CheckpointVersionError
+from siggraphgan.ioutil import read_csv_rows
 from siggraphgan.siggan import SigGanConfig
 
 
@@ -267,6 +268,16 @@ class TestGenerate:
         assert cli.main(argv) == 3
         assert f"byte offset {start}" in capsys.readouterr().err
 
+    def test_stats_past_lambert_range_exit_3(self, trained_dir, price_csv, tmp_path, capsys):
+        """A std so small that delta z^2 overflows is a data error, not a crash."""
+        data = (trained_dir / "checkpoint.bin").read_bytes()
+        start = data.index(b"[stats]\n") + len(b"[stats]\n")
+        end = data.index(b"\n", start)
+        bad = tmp_path / "tiny_std.bin"
+        bad.write_bytes(data[:start] + b"mean=0.0 std=1e-160 delta=0.5" + data[end:])
+        assert cli.main(generate_argv(bad, price_csv, tmp_path)) == 3
+        assert "data error: lambert_w0" in capsys.readouterr().err
+
     def test_malformed_config_value_exits_3(self, trained_dir, price_csv, tmp_path, capsys):
         """A config value that does not parse fails the load at its own line."""
         data = (trained_dir / "checkpoint.bin").read_bytes()
@@ -513,6 +524,38 @@ class TestEvaluate:
         assert cli.main(argv) == 3
         assert ":201" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_price_csv_read_once_per_side(self, price_csv, tmp_path, monkeypatch):
+        reads = []
+
+        def spy(path):
+            reads.append(path)
+            return read_csv_rows(path)
+
+        monkeypatch.setattr(cli, "read_csv_rows", spy)
+        monkeypatch.setattr(preprocess, "read_csv_rows", spy)
+        argv = ["evaluate", "--real", str(price_csv), "--fake", str(price_csv),
+                "--out-dir", str(tmp_path / "ev")]
+        assert cli.main(argv) == 0
+        assert reads == [str(price_csv)] * 2
+
+    @pytest.mark.parametrize(
+        "side,last_row", [("--real", '2099-01-01,"5'), ("--fake", '9,9,"0.1')],
+        ids=["price", "sample"],
+    )
+    def test_unterminated_quote_exits_3(self, price_csv, tmp_path, capsys, side, last_row):
+        """A quote left open at the end of the file is a parse error, not a value."""
+        if side == "--real":
+            lines = price_csv.read_text().splitlines()
+        else:
+            lines = ["sample_id,step,log_return"] + [f"0,{i},0.001" for i in range(240)]
+        bad = tmp_path / "open_quote.csv"
+        bad.write_text("\n".join([*lines, last_row]))
+        paths = {"--real": str(price_csv), "--fake": str(price_csv), side: str(bad)}
+        argv = ["evaluate", *[a for pair in paths.items() for a in pair],
+                "--out-dir", str(tmp_path / "ev")]
+        assert cli.main(argv) == 3
+        assert f"{bad}: unreadable CSV" in capsys.readouterr().err
 
     @pytest.mark.parametrize("side", ["--real", "--fake"])
     @pytest.mark.parametrize("header", ["date,close", "sample_id,step,log_return"])

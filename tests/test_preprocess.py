@@ -1,14 +1,16 @@
 import dataclasses
 import datetime
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import fit_delta_budgeted
+from oracles import fit_delta_budgeted, lambert_w0_guarded
 from siggraphgan import preprocess as pp
 from siggraphgan.errors import (
     DataError,
@@ -124,12 +126,7 @@ class TestLambertW:
         assert pp.lambert_w0(1.0) == pytest.approx(0.5 * (lo + hi), abs=1e-12)
 
     def test_residual_grid(self):
-        xs = np.concatenate(
-            [
-                np.array([-1.0 / math.e + 1e-6, -0.25, -0.05]),
-                np.logspace(-6, 6, 200),
-            ]
-        )
+        xs = np.logspace(-6, 6, 200)
         w = pp.lambert_w0(xs)
         residual = np.abs(w * np.exp(w) - xs)
         assert np.all(residual <= 1e-12 * np.maximum(1.0, np.abs(xs)))
@@ -143,6 +140,20 @@ class TestLambertW:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             pp.lambert_w0(-1.0)
+
+    @pytest.mark.parametrize("x", [-1e-300, math.nan, math.inf, 4e302])
+    def test_domain_error_names_first_input_outside(self, x):
+        with pytest.raises(DomainError, match=re.escape(f"got x = {x}")):
+            pp.lambert_w0(np.array([1.0, x, -2.0]))
+
+    @given(
+        xs=st.one_of(
+            st.floats(0.0, pp.LAMBERT_MAX),
+            arrays(np.float64, st.integers(1, 40), elements=st.floats(0.0, pp.LAMBERT_MAX)),
+        )
+    )
+    def test_matches_guarded_reference_exactly(self, xs):
+        assert np.array_equal(pp.lambert_w0(xs), lambert_w0_guarded(xs))
 
 
 class TestGaussianization:

@@ -52,15 +52,14 @@ def test_batch_matches_path_signature(series, degree):
 
 
 def assert_engine_matches_sequential_engine(series, degree, seed):
-    sig, cache = sg._leadlag_forward(series, degree)
     batch = np.atleast_2d(series)
+    sig, cache = sg._leadlag_forward(batch, degree)
     reference, reference_cache = sequential_forward(batch, degree)
-    assert np.array_equal(np.atleast_2d(sig), reference)
+    assert np.array_equal(sig, reference)
+    assert np.array_equal(np.atleast_2d(sg.leadlag_signature_batch(series, degree)), sig)
     grad_out = np.random.default_rng(seed).standard_normal(sig.shape)
     grad = sg._leadlag_vjp(cache, grad_out)
-    assert np.array_equal(
-        np.atleast_2d(grad), sequential_vjp(reference_cache, np.atleast_2d(grad_out))
-    )
+    assert np.array_equal(grad, sequential_vjp(reference_cache, grad_out))
 
 
 @given(series=series_batches(), degree=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
