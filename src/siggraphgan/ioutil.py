@@ -20,26 +20,33 @@ def read_csv_rows(path):
 
     Returns ``(header, rows)``: ``header`` is the first row (None for an
     empty file) and ``rows`` pairs every later row that is not blank with
-    its 1-based row number. A blank row is empty or one whitespace-only
-    field. A file that cannot be opened, decoded or parsed is a
-    `DataError` naming it; the parse is strict, so an unterminated quote
-    or text after a closing quote is one.
+    the 1-based number of its first line, which a quoted field with a line
+    break in it makes differ from the row's count. A blank row is empty or
+    one whitespace-only field. A file that cannot be opened, decoded or
+    parsed is a `DataError` naming it; the parse is strict, so an
+    unterminated quote or text after a closing quote is one, at
+    ``path:line`` of the line where parsing stopped.
     """
+    rows = []
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle, strict=True))
+            reader = csv.reader(handle, strict=True)
+            first = 1
+            for row in reader:
+                rows.append((first, row))
+                first = reader.line_num + 1
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     except csv.Error as exc:
-        raise DataError(f"{path}: unreadable CSV: {exc}") from exc
+        raise DataError(f"{path}:{reader.line_num}: unreadable CSV: {exc}") from exc
     body = [
         (lineno, row)
-        for lineno, row in enumerate(rows[1:], start=2)
+        for lineno, row in rows[1:]
         if len(row) > 1 or (row and row[0].strip())
     ]
-    return (rows[0] if rows else None), body
+    return (rows[0][1] if rows else None), body
 
 
 def csv_text(header, rows) -> str:

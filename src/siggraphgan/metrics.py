@@ -18,6 +18,7 @@ them by 100.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,6 +152,13 @@ def build_report(real_returns, fake_returns, degree: int = 5) -> MetricsReport:
     `expected_leadlag_signature` from per-block prefix and suffix
     signatures rather than by signing a stack of windows. Identical inputs
     give exact zeros, because the same arithmetic runs on both sides.
+
+    The real side comes from a one-entry memo, `_real_side`: the last real
+    series' four aggregates and expected signatures, about 0.1 MB for the
+    bundled fixture. The next report on the same values and degree reuses
+    them and computes only the fake side, so repeated scoring against one
+    series (`ablate`, a benchmark round) gains, and a single `evaluate`
+    does not.
     """
     real = np.asarray(real_returns, dtype=np.float64)
     fake = np.asarray(fake_returns, dtype=np.float64)
@@ -162,12 +170,27 @@ def build_report(real_returns, fake_returns, degree: int = 5) -> MetricsReport:
                 f"report (need >= {needed})"
             )
     values: dict[str, float] = {}
-    for k in HORIZONS:
-        agg_real = k_day_aggregate(real, k)
+    for k, (agg_real, sig_real) in zip(HORIZONS, _real_side(real.tobytes(), real.shape, degree)):
         agg_fake = k_day_aggregate(fake, k)
         values[f"EMD({k})"] = emd_1d(agg_real, agg_fake)
-        sig_real = expected_leadlag_signature(agg_real, SIG_WINDOW_POINTS, degree)
         sig_fake = expected_leadlag_signature(agg_fake, SIG_WINDOW_POINTS, degree)
         values[f"Sig-RMSE({k})"] = float(np.sqrt(np.mean((sig_real - sig_fake) ** 2)))
     values["Leverage Effect"] = leverage_effect_score(real, fake)
     return MetricsReport(values)
+
+
+@lru_cache(maxsize=1)
+def _real_side(raw: bytes, shape: tuple, degree: int) -> tuple:
+    """Each horizon's (aggregate, expected signature) of a real series, read-only.
+
+    Keyed by the series' C-order float64 bytes, its shape and ``degree``;
+    the one entry is the last real series that `build_report` scored.
+    """
+    real = np.frombuffer(raw).reshape(shape)
+    side = []
+    for k in HORIZONS:
+        agg = k_day_aggregate(real, k)
+        sig = expected_leadlag_signature(agg, SIG_WINDOW_POINTS, degree)
+        agg.flags.writeable = sig.flags.writeable = False
+        side.append((agg, sig))
+    return tuple(side)

@@ -43,6 +43,10 @@ give the same bits.
 
 `fixture_csv_text` writes `fixture_prices` as the text of a price CSV;
 the bundled fixture file must equal it.
+
+`build_report_recomputed` is the metrics report as first written, with
+both sides computed on every call; the package's report, which keeps the
+last real series' side, must give the same values.
 """
 
 import math
@@ -52,6 +56,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from siggraphgan import autodiff as ad
+from siggraphgan import metrics as mt
 from siggraphgan import preprocess as pp
 from siggraphgan.baselines import GARCH_BURN_IN
 from siggraphgan.errors import DomainError, ShapeError, SizeError
@@ -167,6 +172,29 @@ def garch_simulate_loop(params, n, rng):
             sig2 = params.omega + params.alpha * out[t - 1] ** 2 + params.beta * sig2
         out[t] = math.sqrt(sig2) * shocks[t]
     return out[GARCH_BURN_IN:]
+
+
+def build_report_recomputed(real_returns, fake_returns, degree: int = 5):
+    """The nine-metric `MetricsReport`, both sides computed on every call."""
+    real = np.asarray(real_returns, dtype=np.float64)
+    fake = np.asarray(fake_returns, dtype=np.float64)
+    needed = max(mt.HORIZONS) + mt.SIG_WINDOW_POINTS - 1
+    for name, arr in (("real", real), ("fake", fake)):
+        if arr.shape[0] < needed:
+            raise SizeError(
+                f"{name} series of length {arr.shape[0]} is too short for the "
+                f"report (need >= {needed})"
+            )
+    values: dict[str, float] = {}
+    for k in mt.HORIZONS:
+        agg_real = mt.k_day_aggregate(real, k)
+        agg_fake = mt.k_day_aggregate(fake, k)
+        values[f"EMD({k})"] = mt.emd_1d(agg_real, agg_fake)
+        sig_real = mt.expected_leadlag_signature(agg_real, mt.SIG_WINDOW_POINTS, degree)
+        sig_fake = mt.expected_leadlag_signature(agg_fake, mt.SIG_WINDOW_POINTS, degree)
+        values[f"Sig-RMSE({k})"] = float(np.sqrt(np.mean((sig_real - sig_fake) ** 2)))
+    values["Leverage Effect"] = mt.leverage_effect_score(real, fake)
+    return mt.MetricsReport(values)
 
 
 def fit_delta_budgeted(samples, max_iterations: int = 200):

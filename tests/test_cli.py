@@ -12,7 +12,7 @@ import pytest
 from oracles import fixture_csv_text
 from siggraphgan import cli, preprocess
 from siggraphgan.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
-from siggraphgan.errors import CheckpointParseError, CheckpointVersionError
+from siggraphgan.errors import CheckpointParseError, CheckpointVersionError, DataError
 from siggraphgan.ioutil import read_csv_rows
 from siggraphgan.siggan import SigGanConfig
 
@@ -555,7 +555,27 @@ class TestEvaluate:
         argv = ["evaluate", *[a for pair in paths.items() for a in pair],
                 "--out-dir", str(tmp_path / "ev")]
         assert cli.main(argv) == 3
-        assert f"{bad}: unreadable CSV" in capsys.readouterr().err
+        assert f"{bad}:{len(lines) + 1}: unreadable CSV" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            # a quoted date holding a line break: the fourth row starts on line 5
+            ('date,close\n"2020-01-01",100\n"2020-01-02\n",101\n2020-01-03,abc\n', 5),
+            # a quote left open on line 3, the last
+            ('date,close\n2020-01-01,100\n2020-01-02,"101\n', 3),
+        ],
+        ids=["line_break_in_field", "open_quote"],
+    )
+    def test_csv_error_names_physical_line(self, price_csv, tmp_path, capsys, text, line):
+        bad = tmp_path / "lines.csv"
+        bad.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(bad))}:{line}: "):
+            preprocess.load_price_csv(bad)
+        argv = ["evaluate", "--real", str(bad), "--fake", str(price_csv),
+                "--out-dir", str(tmp_path / "ev")]
+        assert cli.main(argv) == 3
+        assert f"{bad}:{line}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("side", ["--real", "--fake"])
     @pytest.mark.parametrize("header", ["date,close", "sample_id,step,log_return"])

@@ -2,8 +2,10 @@ import resource
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import emd_lp
+from oracles import build_report_recomputed, emd_lp
 from siggraphgan import metrics as mt
 from siggraphgan.errors import DegenerateInputError, SizeError
 from siggraphgan.fixture import fixture_prices
@@ -170,6 +172,49 @@ class TestReport:
     def test_too_short_rejected(self):
         with pytest.raises(SizeError):
             mt.build_report(np.zeros(50), np.zeros(50))
+
+
+class TestReportMemo:
+    """`build_report` keeps the last real series' side; every value must equal
+    `build_report_recomputed`, which recomputes both sides on each call."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.tuples(st.integers(238, 400), st.integers(119, 300), st.integers(119, 300)),
+        degrees=st.permutations([3, 5]),
+        position=st.floats(0.0, 1.0, exclude_max=True),
+        value=st.floats(-0.1, 0.1),
+    )
+    def test_call_sequence_matches_recomputed_report(self, seed, sizes, degrees, position, value):
+        rng = np.random.default_rng(seed)
+        n_a, n_b, n_fake = sizes
+        real_a = 0.01 * rng.standard_normal(n_a)  # long enough for real_a[::2]
+        real_b = 0.01 * rng.standard_normal(n_b)
+        fake_1, fake_2 = 0.01 * rng.standard_normal((2, n_fake))
+        first, second = degrees
+
+        def check(real, fake, degree):
+            report = mt.build_report(real, fake, degree)
+            assert report.values == build_report_recomputed(real, fake, degree).values
+            assert mt._real_side.cache_info().currsize == 1
+
+        check(real_a, fake_1, first)
+        check(real_a, fake_2, first)  # the same real, another fake
+        for real, fake in ((real_b, fake_1), (real_a, fake_2), (real_b, fake_2)):
+            check(real, fake, first)  # two reals alternating
+        real_a[int(position * n_a)] = value  # mutated in place
+        check(real_a, fake_1, first)
+        check(real_a[::2], fake_2, first)  # a non-contiguous view
+        check(real_a, fake_1, second)
+        check(real_a, fake_2, second)
+        check(real_a, fake_1, first)
+
+    def test_memo_arrays_are_read_only(self):
+        real = 0.01 * np.random.default_rng(5).standard_normal(300)
+        mt.build_report(real, real[::-1])
+        side = mt._real_side(real.tobytes(), real.shape, 5)
+        assert mt._real_side.cache_info().currsize == 1
+        assert not any(array.flags.writeable for pair in side for array in pair)
 
 
 class TestReportMemory:
