@@ -8,9 +8,12 @@ its output is finite and raises `NumericError` otherwise.
 Only the ops the networks run are implemented: addition, (batched)
 matmul and the fused affine map, concatenation, tanh, PReLU and dropout.
 Gradients for broadcast operands are reduced back to the operand shape.
-Larger pieces are single nodes with hand-written adjoints, made with
-`from_op`: each LSTM layer (`layers`), and the signature losses, whose
-lead-lag paths, signatures and comparison are three nodes (`siggan`).
+No op draws random numbers: dropout applies a boolean keep-mask that its
+caller drew, so a graph's values do not depend on the order in which
+forwards run. Larger pieces are single nodes with hand-written adjoints,
+made with `from_op`: each LSTM layer (`layers`), and the signature
+losses, whose lead-lag paths, signatures and comparison are three nodes
+(`siggan`).
 """
 
 from __future__ import annotations
@@ -221,20 +224,19 @@ def prelu(a) -> Tensor:
     return from_op(a.value * slope, [(a, lambda g: g * slope)], "prelu")
 
 
-def dropout(a, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout: zero with probability ``rate``, scale survivors.
+def dropout(a, mask: np.ndarray | None, rate: float) -> Tensor:
+    """Inverted dropout: zero where ``mask`` is False, scale the rest by 1/(1 - rate).
 
-    Without an rng, or at rate 0, it is the identity and returns ``a``
-    itself: no copy and no graph node. The mask is drawn whether or not
-    ``a`` requires grad, so the rng's stream does not depend on it.
+    ``mask`` is a boolean keep-mask of ``a``'s shape that the caller drew
+    before the forward ran. Without a mask it is the identity and returns
+    ``a`` itself: no copy and no graph node.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
     a = as_tensor(a)
-    if rng is None or rate == 0.0:
+    if mask is None:
         return a
     # the node keeps the boolean mask, an eighth of the scaled mask's
     # bytes, and its vjp forms the same scaled mask again
-    mask = rng.random(a.value.shape) >= rate
     value = a.value * (mask / (1.0 - rate))
     return from_op(value, [(a, lambda g: g * (mask / (1.0 - rate)))], "dropout")

@@ -102,19 +102,20 @@ class _StoredParams:
     """Parameter source handing out one network's stored values in order.
 
     Each request (see `layers.RandomInit`) must match the next stored
-    entry by name and shape; the returned parameter holds a copy.
+    entry by name and shape; the returned parameter holds a copy, and
+    ``params`` keeps every parameter handed out, in order.
     """
 
     def __init__(self, stored: list[tuple[str, np.ndarray]]):
         self.stored = stored
-        self.taken = 0
+        self.params: list[Parameter] = []
 
     def param(self, name: str, shape: tuple, draw) -> Parameter:
-        if self.taken == len(self.stored):
+        if len(self.params) == len(self.stored):
             raise ShapeError(
                 f"checkpoint holds {len(self.stored)} parameters, model expects more"
             )
-        stored_name, value = self.stored[self.taken]
+        stored_name, value = self.stored[len(self.params)]
         if stored_name != name:
             raise ShapeError(
                 f"parameter order mismatch: checkpoint {stored_name!r}, model {name!r}"
@@ -123,13 +124,13 @@ class _StoredParams:
             raise ShapeError(
                 f"parameter {name!r} shape {value.shape} does not match model shape {shape}"
             )
-        self.taken += 1
-        return Parameter(value.copy(), name)
+        self.params.append(Parameter(value.copy(), name))
+        return self.params[-1]
 
     def check_all_taken(self):
-        if self.taken != len(self.stored):
+        if len(self.params) != len(self.stored):
             raise ShapeError(
-                f"checkpoint holds {len(self.stored)} parameters, model expects {self.taken}"
+                f"checkpoint holds {len(self.stored)} parameters, model expects {len(self.params)}"
             )
 
 

@@ -110,10 +110,22 @@ def parse_run_config(path, seed: int | None = None) -> RunConfig:
     return RunConfig(model=model, **run_items)
 
 
+def _out_path(out_dir, name) -> str:
+    """Path of artifact ``name`` in ``out_dir``, the working directory if empty.
+
+    The directory is made if missing; one that cannot be made, such as a
+    path naming a file, is a `DataError` naming it.
+    """
+    try:
+        os.makedirs(out_dir or ".", exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot make output directory {out_dir}: {exc}") from exc
+    return os.path.join(out_dir, name)
+
+
 def _write(out_dir, name, text) -> str:
-    """Write one artifact atomically into ``out_dir``, made if missing; returns its path."""
-    os.makedirs(out_dir or ".", exist_ok=True)
-    path = os.path.join(out_dir, name)
+    """Write one artifact atomically into ``out_dir`` (see `_out_path`); returns its path."""
+    path = _out_path(out_dir, name)
     atomic_write_text(path, text)
     return path
 
@@ -187,9 +199,8 @@ def _write_report_files(real, fake, out_dir, bins):
 def cmd_train(args) -> int:
     run = parse_run_config(args.config, args.seed)
     gaussianized, stats = prepare_training_returns(load_price_csv(run.input))
+    checkpoint = _out_path(run.output_dir, "checkpoint.bin")  # fails fast, before training
     result = train(gaussianized, run.model, stats)
-    os.makedirs(run.output_dir, exist_ok=True)
-    checkpoint = os.path.join(run.output_dir, "checkpoint.bin")
     save_checkpoint(result.checkpoint, checkpoint)
     trace = csv_text(("epoch", "loss"), enumerate(result.epoch_losses))
     print(f"wrote {checkpoint}")
@@ -225,6 +236,7 @@ def cmd_ablate(args) -> int:
     prices = load_price_csv(run.input)
     raw_returns = log_returns(prices).values
     gaussianized, stats = prepare_training_returns(prices)
+    table_path = _out_path(run.output_dir, "ablation.csv")  # fails fast, before training
 
     rows = []
     for label, cfg in variants:
@@ -234,8 +246,8 @@ def cmd_ablate(args) -> int:
         rows.append((label, *(report.values[m] for m in REPORT_LABELS)))
         print(f"{label}: done")
 
-    table = csv_text(("variant",) + REPORT_LABELS, rows)
-    print(f"wrote {_write(run.output_dir, 'ablation.csv', table)}")
+    atomic_write_text(table_path, csv_text(("variant",) + REPORT_LABELS, rows))
+    print(f"wrote {table_path}")
     return EXIT_OK
 
 

@@ -3,7 +3,8 @@
 Every CSV the package reads goes through `read_csv_rows`, so price and
 sample files follow the same `csv` rules and the same blank-row rule.
 Every CSV it writes is built by `csv_text`. Every file it writes is
-written to a temp sibling, then renamed into place.
+written to a temp sibling, then renamed into place. A file that cannot
+be read or written is a `DataError` naming it.
 """
 
 from __future__ import annotations
@@ -60,17 +61,23 @@ def csv_text(header, rows) -> str:
 
 
 def atomic_write_bytes(path, data: bytes):
+    """Write ``data`` to a temp sibling of ``path``, then rename it into place.
+
+    A write that fails is a `DataError` naming ``path``, and leaves no temp file.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".tmp")
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def atomic_write_text(path, text: str):

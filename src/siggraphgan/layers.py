@@ -27,14 +27,17 @@ class RandomInit:
     ``param(name, shape, draw)``; this source returns ``draw(rng, shape)``,
     so one seed gives the same draws in the same order every time. The
     checkpoint loader's source hands out stored values instead, and
-    ``draw`` is never called.
+    ``draw`` is never called. Every source keeps the parameters it handed
+    out, in order, in ``params``: that list is its network's parameters.
     """
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
+        self.params: list[Parameter] = []
 
     def param(self, name: str, shape: tuple, draw) -> Parameter:
-        return Parameter(draw(self.rng, shape), name)
+        self.params.append(Parameter(draw(self.rng, shape), name))
+        return self.params[-1]
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple):

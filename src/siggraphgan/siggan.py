@@ -16,6 +16,14 @@ windows and running sums, their signatures, and the comparison of the
 batch-mean signatures, done by a plain-numpy function that returns its
 value and vjp. The discriminator ascends this loss while the generator
 descends it, alternating one step each per batch under RMSProp.
+
+Each batch draws all its randomness before any forward runs
+(`draw_batch`): both steps' noise, and a dropout keep-mask for every
+dropout layer of the batch's four forwards. The forwards take their
+masks and draw nothing, so their values do not depend on the order they
+run in. A network's parameter list is the record its parameter source
+kept while the network was built, so the architecture's order is
+written once, in the constructors.
 """
 
 from __future__ import annotations
@@ -328,6 +336,14 @@ LOSS_FUNCTIONS = {"mse": sig_mse_loss, "kld": sig_kld_loss}
 # -- network blocks -----------------------------------------------------------
 
 
+def _layer_masks(layers, masks):
+    """Pairs each layer with its keep-mask; masks of None pair each with None.
+
+    A mask list of another length than ``layers`` raises `ValueError`.
+    """
+    return zip(layers, [None] * len(layers) if masks is None else masks, strict=True)
+
+
 class RecurrentBlock:
     """Stacked LSTMs followed by a linear head."""
 
@@ -340,15 +356,9 @@ class RecurrentBlock:
             width = cfg.rec_lstm_neurons
         self.head = ly.Dense(init, width, out_features, f"{name}.head")
 
-    def parameters(self):
-        params = [p for lstm in self.lstms for p in lstm.parameters()]
-        return params + self.head.parameters()
-
-    def forward(self, x: Tensor, rng) -> Tensor:
-        h = x
-        for lstm in self.lstms:
-            h = lstm(h)
-            h = ad.dropout(h, self.cfg.dropout, rng)
+    def forward(self, h: Tensor, masks) -> Tensor:
+        for lstm, mask in _layer_masks(self.lstms, masks):
+            h = ad.dropout(lstm(h), mask, self.cfg.dropout)
         return self.head(h)
 
 
@@ -367,14 +377,9 @@ class GeometricBlock:
         self.lstm = ly.LSTM(init, width, cfg.geo_lstm_neurons, f"{name}.lstm")
         self.head = ly.Dense(init, cfg.geo_lstm_neurons, out_features, f"{name}.head")
 
-    def parameters(self):
-        return self.thetas + self.lstm.parameters() + self.head.parameters()
-
-    def forward(self, x: Tensor, norm_adjacency: np.ndarray, rng) -> Tensor:
-        h = x
-        for theta in self.thetas:
-            h = ly.gcn_apply(h, norm_adjacency, theta)
-            h = ad.dropout(h, self.cfg.dropout, rng)
+    def forward(self, h: Tensor, norm_adjacency: np.ndarray, masks) -> Tensor:
+        for theta, mask in _layer_masks(self.thetas, masks):
+            h = ad.dropout(ly.gcn_apply(h, norm_adjacency, theta), mask, self.cfg.dropout)
         h = self.lstm(h)
         return self.head(h)
 
@@ -387,9 +392,6 @@ class FeedforwardBlock:
         self.fc2 = ly.Dense(init, 128, 64, f"{name}.fc2")
         self.fc3 = ly.Dense(init, 64, 1, f"{name}.fc3")
 
-    def parameters(self):
-        return self.fc1.parameters() + self.fc2.parameters() + self.fc3.parameters()
-
     def forward(self, x: Tensor) -> Tensor:
         h = ad.prelu(self.fc1(x))
         h = ad.prelu(self.fc2(h))
@@ -400,7 +402,8 @@ class GanNetwork:
     """Shared generator/discriminator architecture over (B, T, F) inputs.
 
     ``init`` is the parameter source (see `layers.RandomInit`); every
-    parameter is requested from it once, in a fixed order.
+    parameter is requested from it once, in a fixed order, and the
+    source's record of them is the network's parameter list.
     """
 
     def __init__(self, init, cfg: SigGanConfig, in_features: int, name: str):
@@ -425,28 +428,31 @@ class GanNetwork:
         else:
             ff_in = block_out + (in_features if self.skip else 0)
             self.feedforward = FeedforwardBlock(init, ff_in, f"{name}.ff")
+        self._params = init.params
 
     def parameters(self):
-        params = []
-        for block in (self.recurrent, self.geometric, self.feedforward):
-            if block is not None:
-                params.extend(block.parameters())
-        return params
+        return list(self._params)
 
-    def forward(self, x: Tensor, norm_adjacency: np.ndarray, rng=None) -> Tensor:
+    def forward(self, x: Tensor, norm_adjacency: np.ndarray, masks=None) -> Tensor:
+        """The network's output on ``x``.
+
+        ``masks`` is this forward's (recurrent, graph) pair of keep-mask
+        lists, one mask per layer, as `draw_batch` makes them; None applies
+        no dropout.
+        """
         if x.value.ndim != 3 or x.value.shape[2] != self.in_features:
             raise ShapeError(
                 f"expected input (B, T, {self.in_features}), got {x.value.shape}"
             )
-        # at most one block is ablated; the recurrent block draws its dropout
-        # masks first
+        rec, geo = (None, None) if masks is None else masks
+        # at most one block is ablated
         if self.recurrent is None:
-            total = self.geometric.forward(x, norm_adjacency, rng)
+            total = self.geometric.forward(x, norm_adjacency, geo)
         elif self.geometric is None:
-            total = self.recurrent.forward(x, rng)
+            total = self.recurrent.forward(x, rec)
         else:
             total = ad.add(
-                self.recurrent.forward(x, rng), self.geometric.forward(x, norm_adjacency, rng)
+                self.recurrent.forward(x, rec), self.geometric.forward(x, norm_adjacency, geo)
             )
         if self.feedforward is None:
             return total
@@ -478,11 +484,11 @@ class SigGraphGan:
         self.generator = GanNetwork(gen_init, cfg, cfg.noise_features, "gen")
         self.discriminator = None if disc_init is None else GanNetwork(disc_init, cfg, 1, "disc")
 
-    def generator_forward(self, noise, norm_adjacency, rng=None) -> Tensor:
-        return self.generator.forward(ad.as_tensor(noise), norm_adjacency, rng)
+    def generator_forward(self, noise, norm_adjacency, masks=None) -> Tensor:
+        return self.generator.forward(ad.as_tensor(noise), norm_adjacency, masks)
 
-    def discriminator_forward(self, real, norm_adjacency, rng=None) -> Tensor:
-        return self.discriminator.forward(ad.as_tensor(real), norm_adjacency, rng)
+    def discriminator_forward(self, real, norm_adjacency, masks=None) -> Tensor:
+        return self.discriminator.forward(ad.as_tensor(real), norm_adjacency, masks)
 
 
 # -- training and generation --------------------------------------------------
@@ -550,16 +556,43 @@ class TrainState:
         self.epoch_losses: list[float] = []
 
 
-def player_step(state: TrainState, opt: RmsProp, idle: RmsProp, real_windows, adjs) -> float:
-    """One step of ``opt``'s player; ``idle``'s output is a constant."""
+def draw_batch(state: TrainState) -> list:
+    """All of one batch's random draws, made before any of its forwards runs.
+
+    Returns one ``(noise, (generator_masks, critic_masks))`` pair per
+    player step, the critic's step first. A step's noise is a (batch,
+    seq_len, noise_features) normal draw. A forward's masks are a
+    (recurrent, graph) pair of lists with one boolean keep-mask per
+    dropout layer, an empty list for an ablated block; at dropout 0 each
+    mask is None and nothing is drawn. The noise stream gives the critic
+    step's noise, then the generator step's; the dropout stream gives the
+    masks of the critic step's generator and critic forwards, then the
+    generator step's, each forward's recurrent layers before its graph
+    layers. So every forward's values follow from the parameters and
+    these draws alone, whatever order the forwards run in.
+    """
+    cfg, rng = state.cfg, state.dropout_rng
+    shape = (cfg.batch_size, cfg.seq_len)
+    noise = [state.noise_rng.standard_normal(shape + (cfg.noise_features,)) for _ in range(2)]
+    rec = [] if cfg.ablation == "recurrent" else [cfg.rec_lstm_neurons] * cfg.rec_lstm_layers
+    gnn = [] if cfg.ablation == "geometric" else [cfg.gnn_neurons] * cfg.gnn_layers
+
+    def masks(widths):
+        return [rng.random(shape + (w,)) >= cfg.dropout if cfg.dropout else None for w in widths]
+
+    return [(n, ((masks(rec), masks(gnn)), (masks(rec), masks(gnn)))) for n in noise]
+
+
+def player_step(state: TrainState, opt: RmsProp, idle: RmsProp, real_windows, adjs, draws) -> float:
+    """One step of ``opt``'s player on its `draw_batch` draws; ``idle``'s output is a constant."""
     for p in opt.params:
         p.requires_grad = True
     for p in idle.params:
         p.requires_grad = False
     cfg, model = state.cfg, state.model
-    noise = state.noise_rng.standard_normal((len(real_windows), cfg.seq_len, cfg.noise_features))
-    fake = model.generator_forward(noise, adjs, state.dropout_rng)
-    real = model.discriminator_forward(real_windows[:, :, np.newaxis], adjs, state.dropout_rng)
+    noise, (gen_masks, disc_masks) = draws
+    fake = model.generator_forward(noise, adjs, gen_masks)
+    real = model.discriminator_forward(real_windows[:, :, np.newaxis], adjs, disc_masks)
     loss = LOSS_FUNCTIONS[cfg.loss_kind](fake, real, cfg.sig_degree)
     loss.backward()
     opt.step()
@@ -569,9 +602,10 @@ def player_step(state: TrainState, opt: RmsProp, idle: RmsProp, real_windows, ad
 def train_epoch(state: TrainState) -> float:
     """One epoch over a fresh shuffle of the windows; returns its mean generator loss.
 
-    Each full batch takes one discriminator step, then one generator step;
-    the mean of the generator losses is appended to ``state.epoch_losses``.
-    A `NumericError` names its epoch and the batch's position in the shuffle.
+    Each full batch makes its `draw_batch` draws, then takes one
+    discriminator step and one generator step; the mean of the generator
+    losses is appended to ``state.epoch_losses``. A `NumericError` names
+    its epoch and the batch's position in the shuffle.
     """
     cfg, windows = state.cfg, state.window_values
     epoch = len(state.epoch_losses)
@@ -580,9 +614,11 @@ def train_epoch(state: TrainState) -> float:
     for start in range(0, windows.shape[0] - cfg.batch_size + 1, cfg.batch_size):
         idx = order[start : start + cfg.batch_size]
         real, adjs = windows[idx], window_adjacencies(state.graph, idx, cfg)
+        draws = draw_batch(state)  # each step pops its own, so they are freed as it ends
         try:
-            player_step(state, state.opt_disc, state.opt_gen, real, adjs)
-            gen_losses.append(player_step(state, state.opt_gen, state.opt_disc, real, adjs))
+            player_step(state, state.opt_disc, state.opt_gen, real, adjs, draws.pop(0))
+            loss = player_step(state, state.opt_gen, state.opt_disc, real, adjs, draws.pop(0))
+            gen_losses.append(loss)
         except NumericError as exc:
             raise NumericError(f"{exc} (epoch {epoch}, batch starting at {start})") from exc
     state.epoch_losses.append(float(np.mean(gen_losses)))

@@ -47,6 +47,12 @@ the bundled fixture file must equal it.
 `build_report_recomputed` is the metrics report as first written, with
 both sides computed on every call; the package's report, which keeps the
 last real series' side, must give the same values.
+
+`player_step_drawing` is a training step as first written: it draws its
+noise as it starts, and each dropout layer draws its mask
+(`dropout_drawing`) as the forward reaches it, through
+`network_forward_drawing`. A batch of the package's steps on the masks
+`draw_batch` makes before any forward must give the same bits.
 """
 
 import math
@@ -56,8 +62,10 @@ import numpy as np
 from scipy.optimize import linprog
 
 from siggraphgan import autodiff as ad
+from siggraphgan import layers as ly
 from siggraphgan import metrics as mt
 from siggraphgan import preprocess as pp
+from siggraphgan import siggan as sg
 from siggraphgan.baselines import GARCH_BURN_IN
 from siggraphgan.errors import DomainError, ShapeError, SizeError
 from siggraphgan.fixture import fixture_prices
@@ -320,6 +328,60 @@ def gradient_check(build_loss, params, h: float = 1e-5) -> float:
         )
         worst = max(worst, float(err.max()))
     return worst
+
+
+def dropout_drawing(a, rate, rng):
+    """Inverted dropout that draws its keep-mask from ``rng`` as it runs.
+
+    The identity at rate 0, where nothing is drawn.
+    """
+    if rate == 0.0:
+        return a
+    mask = rng.random(a.value.shape) >= rate
+    value = a.value * (mask / (1.0 - rate))
+    return ad.from_op(value, [(a, lambda g: g * (mask / (1.0 - rate)))], "dropout")
+
+
+def network_forward_drawing(net, x, norm_adjacency, rate, rng):
+    """``net``'s forward on ``x``, each dropout layer drawing its own mask.
+
+    The recurrent block runs before the geometric block, so its layers
+    draw first.
+    """
+    blocks = []
+    if net.recurrent is not None:
+        h = x
+        for lstm in net.recurrent.lstms:
+            h = dropout_drawing(lstm(h), rate, rng)
+        blocks.append(net.recurrent.head(h))
+    if net.geometric is not None:
+        h = x
+        for theta in net.geometric.thetas:
+            h = dropout_drawing(ly.gcn_apply(h, norm_adjacency, theta), rate, rng)
+        blocks.append(net.geometric.head(net.geometric.lstm(h)))
+    total = blocks[0] if len(blocks) == 1 else ad.add(*blocks)
+    if net.feedforward is None:
+        return total
+    if net.skip:
+        total = ad.concat([total, x])
+    return net.feedforward.forward(total)
+
+
+def player_step_drawing(state, opt, idle, real_windows, adjs) -> float:
+    """One step of ``opt``'s player that draws its noise and masks as it runs."""
+    for p in opt.params:
+        p.requires_grad = True
+    for p in idle.params:
+        p.requires_grad = False
+    cfg, model, rng = state.cfg, state.model, state.dropout_rng
+    noise = state.noise_rng.standard_normal((len(real_windows), cfg.seq_len, cfg.noise_features))
+    fake = network_forward_drawing(model.generator, ad.Tensor(noise), adjs, cfg.dropout, rng)
+    real = ad.Tensor(real_windows[:, :, np.newaxis])
+    real = network_forward_drawing(model.discriminator, real, adjs, cfg.dropout, rng)
+    loss = sg.LOSS_FUNCTIONS[cfg.loss_kind](fake, real, cfg.sig_degree)
+    loss.backward()
+    opt.step()
+    return loss.item()
 
 
 @dataclass

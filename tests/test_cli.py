@@ -84,6 +84,22 @@ def test_config_without_input_exits_2(tmp_path, price_csv, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate", "baseline"])
+def test_output_dir_naming_a_file_exits_3_before_training(
+    tmp_path, price_csv, capsys, monkeypatch, command
+):
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    cfg = write_config(tmp_path / "run.cfg", price_csv, out, baseline="garch")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the output directory was made")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    assert cli.main([command, "--config", str(cfg)]) == 3
+    assert f"cannot make output directory {out}" in capsys.readouterr().err
+
+
 def test_readme_checkpoint_section_matches_format():
     """The README states the checkpoint's current version line and config line count."""
     readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
@@ -137,6 +153,13 @@ class TestTrain:
         write_config(cfg, price_csv, out, epochs=0)
         assert cli.main(["train", "--config", str(cfg)]) == 0
         assert (out / "loss_trace.csv").read_text() == "epoch,loss\n"
+
+    def test_empty_output_dir_writes_to_working_directory(self, tmp_path, price_csv, monkeypatch):
+        cfg = write_config(tmp_path / "run.cfg", price_csv, "", epochs=0)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        assert load_checkpoint(tmp_path / "checkpoint.bin").config.seed == 5
+        assert (tmp_path / "loss_trace.csv").read_text() == "epoch,loss\n"
 
     def test_seed_flag_changes_artifacts(self, tmp_path, price_csv):
         out = tmp_path / "seeded"
@@ -236,6 +259,14 @@ class TestGenerate:
         argv = generate_argv(trained_dir / "checkpoint.bin", price_csv, tmp_path)
         assert cli.main(argv[:-1] + [str(out)]) == 0
         assert out.read_text().startswith("sample_id,step,log_return\n")
+
+    def test_unwritable_out_exits_3_with_path(self, trained_dir, price_csv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        out.mkdir()  # a directory where the samples file should go
+        argv = generate_argv(trained_dir / "checkpoint.bin", price_csv, tmp_path)
+        assert cli.main(argv) == 3
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["x.csv"]  # no temp file left behind
 
     def test_undecodable_input_exits_3(self, trained_dir, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -13,6 +13,7 @@ same cases.
 
 import datetime
 import io
+import re
 
 import numpy as np
 import pytest
@@ -143,7 +144,8 @@ def test_failed_atomic_write_keeps_old_file(tmp_path, monkeypatch, step):
         monkeypatch.setattr(ioutil.os, "fdopen", lambda fd, mode: FailingWrite(fd, mode))
     else:
         monkeypatch.setattr(ioutil.os, "replace", failing_replace)
-    with pytest.raises(OSError, match="no space left" if step == "write" else "rename failed"):
+    cause = "no space left" if step == "write" else "rename failed"
+    with pytest.raises(DataError, match=f"cannot write {re.escape(str(path))}: {cause}"):
         ioutil.atomic_write_bytes(path, b"new bytes")
     assert path.read_bytes() == b"old bytes"
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]

@@ -4,10 +4,18 @@ import pytest
 from oracles import comparison_node, gradient_check, tsum
 from siggraphgan import autodiff as ad
 from siggraphgan import layers as ly
+from siggraphgan import siggan as sg
 from siggraphgan import visibility as vg
 from siggraphgan.errors import ConfigError, GraphError, NumericError, ShapeError
 from siggraphgan.optim import RmsProp
-from siggraphgan.siggan import _log_softmax, _mse_gap, _softmax, _softmax_kl, sig_kld_loss
+from siggraphgan.siggan import (
+    SigGanConfig,
+    _log_softmax,
+    _mse_gap,
+    _softmax,
+    _softmax_kl,
+    sig_kld_loss,
+)
 
 
 def parameterize(rng, shape, name):
@@ -248,36 +256,54 @@ class TestActivations:
         assert _log_softmax(v) == pytest.approx(np.log(_softmax(v)))
 
 
+def dropout_state(returns, **overrides):
+    """A training state of a small config, for its `draw_batch` draws."""
+    small = dict(seq_len=10, batch_size=4, gnn_neurons=6, geo_lstm_neurons=6,
+                 rec_lstm_neurons=6, gnn_layers=1, rec_lstm_layers=1)
+    return sg.TrainState(returns, SigGanConfig(**{**small, **overrides}))
+
+
 class TestDropout:
     def test_rate_zero_identity(self):
+        # at rate 0 a batch draws no masks, and a layer without a mask returns
+        # its input: no copy, no graph node
+        state = dropout_state(np.random.default_rng(0).standard_normal(13), dropout=0.0)
+        before = state.dropout_rng.bit_generator.state
+        forwards = [masks for _, pair in sg.draw_batch(state) for masks in pair]
+        assert forwards == [([None], [None])] * 4
+        assert state.dropout_rng.bit_generator.state == before
         x = ad.Tensor(np.arange(10.0))
-        out = ad.dropout(x, 0.0, np.random.default_rng(0))
-        assert out is x  # no copy, no graph node
+        assert ad.dropout(x, None, 0.0) is x
 
     def test_inference_identity(self):
-        # inference passes no rng
+        # inference passes no mask
         x = ad.Tensor(np.arange(10.0))
-        assert ad.dropout(x, 0.9, None) is x
+        assert ad.dropout(x, None, 0.9) is x
 
     def test_draws_mask_when_input_needs_no_grad(self):
-        # the rng advances the same whether or not a graph is recorded
+        # the mask applies the same whether or not a graph is recorded
         x = ad.Tensor(np.ones((4, 5)))
-        out = ad.dropout(x, 0.4, np.random.default_rng(3))
         keep = np.random.default_rng(3).random((4, 5)) >= 0.4
+        out = ad.dropout(x, keep, 0.4)
         assert np.array_equal(out.value, keep / (1.0 - 0.4))
         assert out._parents == () and not out.requires_grad
 
     def test_statistics_at_table_rate(self):
-        rng = np.random.default_rng(8)
-        x = np.ones(100_000)
-        out = ad.dropout(ad.Tensor(x), 0.31, rng).value
+        # one recurrent layer's mask of a batch draw: 10 x 100 x 100 units
+        returns = np.random.default_rng(8).standard_normal(109)
+        state = dropout_state(returns, seq_len=100, batch_size=10, rec_lstm_neurons=100,
+                              dropout=0.31)
+        (_, ((recurrent, _), _)), _ = sg.draw_batch(state)
+        x = np.ones(recurrent[0].shape)
+        out = ad.dropout(ad.Tensor(x), recurrent[0], 0.31).value
+        assert out.shape == (10, 100, 100)
         zero_fraction = np.mean(out == 0.0)
         assert abs(zero_fraction - 0.31) <= 0.01
         assert abs(out.mean() - 1.0) <= 0.02
 
     def test_rate_validation(self):
         with pytest.raises(ConfigError):
-            ad.dropout(ad.Tensor(np.zeros(3)), 1.0, None)
+            ad.dropout(ad.Tensor(np.zeros(3)), None, 1.0)
 
 
 class TestLossOps:
@@ -423,7 +449,7 @@ class TestGradientSuite:
         x = ad.Parameter(rng.standard_normal((4, 5)), "x")
         err = gradient_check(
             lambda: tsum(
-                ad.dropout(x, 0.4, np.random.default_rng(99))
+                ad.dropout(x, np.random.default_rng(99).random((4, 5)) >= 0.4, 0.4)
             ),
             [x],
         )

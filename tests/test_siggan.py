@@ -4,8 +4,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import gradient_check
+from oracles import gradient_check, player_step_drawing
 from siggraphgan import autodiff as ad
 from siggraphgan import layers as ly
 from siggraphgan import siggan as sg
@@ -94,8 +96,9 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             SigGanConfig.for_loss("huber")
-        with pytest.raises(ConfigError):
-            tiny_config(dropout=1.5)
+        for rate in (1.5, 1.0):
+            with pytest.raises(ConfigError, match="dropout must lie in"):
+                tiny_config(dropout=rate)
         with pytest.raises(ConfigError):
             tiny_config(graph_direction="sideways")
         with pytest.raises(ConfigError):
@@ -270,7 +273,7 @@ class TestNetworks:
             for p in lstm.parameters():
                 p.value = np.zeros_like(p.value)
         x = ad.Tensor(np.random.default_rng(0).standard_normal((2, cfg.seq_len, 1)))
-        out = block.forward(x, rng=None)
+        out = block.forward(x, masks=None)
         expected = np.tile(block.head.bias.value, (2, cfg.seq_len, 1))
         assert out.value == pytest.approx(expected)
 
@@ -506,9 +509,89 @@ class TestTraining:
         assert result.epoch_losses[-1] < result.epoch_losses[0]
 
 
+def one_batch(state):
+    """The real windows and adjacencies of a state's first batch of windows."""
+    idx = np.arange(state.cfg.batch_size)
+    return state.window_values[idx], sg.window_adjacencies(state.graph, idx, state.cfg)
+
+
+class TestBatchDraws:
+    # every ablation runs its own examples, so each meets a nonzero rate
+    @pytest.mark.parametrize("ablation", sg.ABLATIONS)
+    @given(
+        loss_kind=st.sampled_from(sorted(sg.LOSS_FUNCTIONS)),
+        dropout=st.one_of(
+            st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        ),
+        rec_layers=st.integers(1, 3),
+        gnn_layers=st.integers(1, 3),
+        batch=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_matches_draws_in_forward(
+        self, ablation, loss_kind, dropout, rec_layers, gnn_layers, batch, seed
+    ):
+        cfg = tiny_config(
+            ablation=ablation, loss_kind=loss_kind, dropout=dropout, rec_lstm_layers=rec_layers,
+            gnn_layers=gnn_layers, batch_size=batch, seed=seed,
+        )
+        returns = np.random.default_rng(seed).standard_normal(cfg.seq_len + batch - 1)
+        drawn, reference = sg.TrainState(returns, cfg), sg.TrainState(returns, cfg)
+        real, adjs = one_batch(drawn)
+        draws = sg.draw_batch(drawn)
+        losses = [
+            sg.player_step(drawn, drawn.opt_disc, drawn.opt_gen, real, adjs, draws.pop(0)),
+            sg.player_step(drawn, drawn.opt_gen, drawn.opt_disc, real, adjs, draws.pop(0)),
+        ]
+        expected = [
+            player_step_drawing(reference, reference.opt_disc, reference.opt_gen, real, adjs),
+            player_step_drawing(reference, reference.opt_gen, reference.opt_disc, real, adjs),
+        ]
+        assert np.array_equal(losses, expected)
+        ours, theirs = (
+            s.model.generator.parameters() + s.model.discriminator.parameters()
+            for s in (drawn, reference)
+        )
+        assert [p.name for p in ours] == [p.name for p in theirs]
+        for mine, other in zip(ours, theirs):
+            assert np.array_equal(mine.value, other.value), mine.name
+        # both streams were read to the same point
+        for rng in ("noise_rng", "dropout_rng"):
+            state = getattr(drawn, rng).bit_generator.state
+            assert state == getattr(reference, rng).bit_generator.state, rng
+
+    def test_forwards_run_in_any_order(self):
+        cfg = tiny_config(rec_lstm_layers=2, gnn_layers=2)
+        assert cfg.dropout > 0
+        state = sg.TrainState(np.random.default_rng(8).standard_normal(20), cfg)
+        model, (real, adjs) = state.model, one_batch(state)
+        real = real[:, :, np.newaxis]
+        (critic_noise, (gen0, disc0)), (gen_noise, (gen1, disc1)) = sg.draw_batch(state)
+        forwards = {
+            "gen0": lambda: model.generator_forward(critic_noise, adjs, gen0),
+            "disc0": lambda: model.discriminator_forward(real, adjs, disc0),
+            "gen1": lambda: model.generator_forward(gen_noise, adjs, gen1),
+            "disc1": lambda: model.discriminator_forward(real, adjs, disc1),
+        }
+        today = {name: forwards[name]().value for name in ("gen0", "disc0", "gen1", "disc1")}
+        generators_first = {
+            name: forwards[name]().value for name in ("gen0", "gen1", "disc0", "disc1")
+        }
+        for name, value in today.items():
+            assert np.array_equal(value, generators_first[name]), name
+        # the masks take effect: without them the forward differs
+        assert not np.array_equal(today["gen0"], model.generator_forward(critic_noise, adjs).value)
+
+    def test_network_parameters_are_what_its_source_handed_out(self):
+        init = ly.RandomInit(np.random.default_rng(0))
+        network = sg.GanNetwork(init, tiny_config(ablation="skip"), 1, "gen")
+        assert network.parameters() == init.params
+        assert network.parameters() is not init.params
+
+
 class TestPresetMemory:
     # one batch at each tuned preset (seq_len 100, batch 30); measured about
-    # 0.25 GiB for kld and 0.43 GiB for mse, on numpy 2.4 / OpenBLAS 0.3.31
+    # 0.26 GiB for kld and 0.44 GiB for mse, on numpy 2.4 / OpenBLAS 0.3.31
     @pytest.mark.parametrize("loss_kind, budget_gib", [("kld", 1.2), ("mse", 2.0)])
     def test_one_batch_within_budget(self, loss_kind, budget_gib, traced_peak):
         cfg = SigGanConfig.for_loss(loss_kind, epochs=1)
@@ -521,9 +604,10 @@ class TestPresetMemory:
     def test_kld_batch_of_ten_within_budget(self, traced_peak):
         """One kld batch of 10 at seq_len 100 stays under 130 MiB.
 
-        Measured at about 114 MiB, on numpy 2.4 / OpenBLAS 0.3.31. The
-        LSTM adjoints drop each step's gates and states as the reverse loop
-        uses them, and dropout nodes keep boolean masks. Holding every
+        Measured at about 117 MiB, on numpy 2.4 / OpenBLAS 0.3.31, with
+        all four forwards' boolean dropout masks drawn at the batch's start
+        (about 4 MB). The LSTM adjoints drop each step's gates and states as
+        the reverse loop uses them, and dropout nodes keep boolean masks. Holding every
         step's state and all four gradients of each LSTM layer until the
         step's graph went away, and scaled float masks, peaked at 149 MiB.
         """
