@@ -11,9 +11,9 @@ Gradients for broadcast operands are reduced back to the operand shape.
 No op draws random numbers: dropout applies a boolean keep-mask that its
 caller drew, so a graph's values do not depend on the order in which
 forwards run. Larger pieces are single nodes with hand-written adjoints,
-made with `from_op`: each LSTM layer (`layers`), and the signature
-losses, whose lead-lag paths, signatures and comparison are three nodes
-(`siggan`).
+made with `from_op`: each stack of LSTM layers with their dropout
+(`layers`), and the signature losses, whose lead-lag paths, signatures
+and comparison are three nodes (`siggan`).
 """
 
 from __future__ import annotations

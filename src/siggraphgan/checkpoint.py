@@ -40,6 +40,7 @@ from .errors import (
     CheckpointParseError,
     CheckpointVersionError,
     ConfigError,
+    DataError,
     DomainError,
     ShapeError,
 )
@@ -195,9 +196,15 @@ class _Reader:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parse a checkpoint file; inverse of `save_checkpoint`."""
-    with open(path, "rb") as handle:
-        data = handle.read()
+    """Parse a checkpoint file; inverse of `save_checkpoint`.
+
+    A file that cannot be read is a `DataError` that names the path.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     reader = _Reader(data)
 
     version = reader.line()

@@ -24,6 +24,14 @@ masks and draw nothing, so their values do not depend on the order they
 run in. A network's parameter list is the record its parameter source
 kept while the network was built, so the architecture's order is
 written once, in the constructors.
+
+The recurrent block's LSTM stack and its dropout layers are one graph
+node (`layers.lstm_stack`). In training, a stack of two or more layers
+runs its lower half on one worker thread that the `TrainState` owns and
+its upper half on the caller, block by block; `generate` runs its chunks
+on two threads instead, each chunk's stacks on its own thread. `train`
+and `generate` run with OpenBLAS on one thread (`blas.one_thread`), so
+their outputs do not depend on the machine.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import autodiff as ad
+from . import blas
 from . import layers as ly
 from .autodiff import Tensor
 from .errors import ConfigError, NumericError, ShapeError, SizeError
@@ -345,10 +354,19 @@ def _layer_masks(layers, masks):
 
 
 class RecurrentBlock:
-    """Stacked LSTMs followed by a linear head."""
+    """Stacked LSTMs, each followed by its dropout, then a linear head.
 
-    def __init__(self, init, cfg: SigGanConfig, in_features: int, out_features: int, name: str):
+    The stack and its dropout layers are one graph node
+    (`layers.lstm_stack`). ``worker`` is the one-thread executor of a
+    training run, or None; with it, a stack of two or more layers runs its
+    lower half on the worker and its upper half on the caller, block by
+    block, with the same values as on one thread.
+    """
+
+    def __init__(self, init, cfg: SigGanConfig, in_features: int, out_features: int, name: str,
+                 worker=None):
         self.cfg = cfg
+        self.worker = worker
         self.lstms = []
         width = in_features
         for i in range(cfg.rec_lstm_layers):
@@ -357,8 +375,7 @@ class RecurrentBlock:
         self.head = ly.Dense(init, width, out_features, f"{name}.head")
 
     def forward(self, h: Tensor, masks) -> Tensor:
-        for lstm, mask in _layer_masks(self.lstms, masks):
-            h = ad.dropout(lstm(h), mask, self.cfg.dropout)
+        h = ly.lstm_stack(h, self.lstms, masks, self.cfg.dropout, self.worker)
         return self.head(h)
 
 
@@ -403,10 +420,11 @@ class GanNetwork:
 
     ``init`` is the parameter source (see `layers.RandomInit`); every
     parameter is requested from it once, in a fixed order, and the
-    source's record of them is the network's parameter list.
+    source's record of them is the network's parameter list. ``worker``
+    goes to the recurrent block.
     """
 
-    def __init__(self, init, cfg: SigGanConfig, in_features: int, name: str):
+    def __init__(self, init, cfg: SigGanConfig, in_features: int, name: str, worker=None):
         self.in_features = in_features
         # block output width mirrors the input width; the feedforward
         # stack reduces to a single feature at the end
@@ -414,7 +432,7 @@ class GanNetwork:
         self.recurrent = (
             None
             if cfg.ablation == "recurrent"
-            else RecurrentBlock(init, cfg, in_features, block_out, f"{name}.rec")
+            else RecurrentBlock(init, cfg, in_features, block_out, f"{name}.rec", worker)
         )
         self.geometric = (
             None
@@ -468,11 +486,12 @@ class SigGraphGan:
     (from the config seed if not given). ``inits`` instead gives the
     (generator, discriminator) parameter sources, as the checkpoint loader
     does; then nothing is drawn. A discriminator source of None leaves the
-    discriminator unbuilt (None), for sampling.
+    discriminator unbuilt (None), for sampling. ``worker`` is the one-thread
+    executor both networks' recurrent stacks share, or None.
     """
 
     def __init__(self, cfg: SigGanConfig, seed_seq: np.random.SeedSequence | None = None,
-                 inits=None):
+                 inits=None, worker=None):
         self.cfg = cfg
         if inits is None:
             if seed_seq is None:
@@ -481,8 +500,10 @@ class SigGraphGan:
                 ly.RandomInit(np.random.Generator(np.random.PCG64(s))) for s in seed_seq.spawn(2)
             ]
         gen_init, disc_init = inits
-        self.generator = GanNetwork(gen_init, cfg, cfg.noise_features, "gen")
-        self.discriminator = None if disc_init is None else GanNetwork(disc_init, cfg, 1, "disc")
+        self.generator = GanNetwork(gen_init, cfg, cfg.noise_features, "gen", worker)
+        self.discriminator = (
+            None if disc_init is None else GanNetwork(disc_init, cfg, 1, "disc", worker)
+        )
 
     def generator_forward(self, noise, norm_adjacency, masks=None) -> Tensor:
         return self.generator.forward(ad.as_tensor(noise), norm_adjacency, masks)
@@ -525,6 +546,11 @@ class TrainState:
     model, the shuffle, noise and dropout generators, one RMSProp per
     player and the epoch losses so far. The model and the three generators
     take the four children of ``SeedSequence(cfg.seed)``, in that order.
+
+    A config whose recurrent stacks have two or more layers also gets one
+    worker thread (``worker``), which both networks' stacks share; it is
+    started by the first forward and ended by `close`, or by leaving a
+    ``with`` block over the state.
     """
 
     def __init__(self, returns, cfg: SigGanConfig, stats: PreprocessStats | None = None):
@@ -542,7 +568,12 @@ class TrainState:
         self.window_values = np.lib.stride_tricks.sliding_window_view(values, cfg.seq_len)
         self.graph = series_graph(values, cfg)
         model_seed, *rng_seeds = np.random.SeedSequence(cfg.seed).spawn(4)
-        self.model = SigGraphGan(cfg, model_seed)
+        self.worker = (
+            ThreadPoolExecutor(max_workers=1, thread_name_prefix="siggraphgan-lstm")
+            if cfg.rec_lstm_layers >= 2 and cfg.ablation != "recurrent"
+            else None
+        )
+        self.model = SigGraphGan(cfg, model_seed, worker=self.worker)
         self.shuffle_rng, self.noise_rng, self.dropout_rng = (
             np.random.Generator(np.random.PCG64(seed)) for seed in rng_seeds
         )
@@ -555,11 +586,22 @@ class TrainState:
         self.opt_gen = RmsProp(self.model.generator.parameters(), cfg.learning_rate)
         self.epoch_losses: list[float] = []
 
+    def close(self):
+        """Ends the worker thread, once it has finished; no batch can run after this."""
+        if self.worker is not None:
+            self.worker.shutdown()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
 
 def draw_batch(state: TrainState) -> list:
     """All of one batch's random draws, made before any of its forwards runs.
 
-    Returns one ``(noise, (generator_masks, critic_masks))`` pair per
+    Returns one ``(noise, [generator_masks, critic_masks])`` pair per
     player step, the critic's step first. A step's noise is a (batch,
     seq_len, noise_features) normal draw. A forward's masks are a
     (recurrent, graph) pair of lists with one boolean keep-mask per
@@ -580,19 +622,24 @@ def draw_batch(state: TrainState) -> list:
     def masks(widths):
         return [rng.random(shape + (w,)) >= cfg.dropout if cfg.dropout else None for w in widths]
 
-    return [(n, ((masks(rec), masks(gnn)), (masks(rec), masks(gnn)))) for n in noise]
+    return [(n, [(masks(rec), masks(gnn)), (masks(rec), masks(gnn))]) for n in noise]
 
 
 def player_step(state: TrainState, opt: RmsProp, idle: RmsProp, real_windows, adjs, draws) -> float:
-    """One step of ``opt``'s player on its `draw_batch` draws; ``idle``'s output is a constant."""
+    """One step of ``opt``'s player on its `draw_batch` draws; ``idle``'s output is a constant.
+
+    Each forward takes its masks out of ``draws``. The idle network's
+    forward builds no graph, so its masks are freed as soon as it has run;
+    the stepping network's are held by its graph until the backward pass.
+    """
     for p in opt.params:
         p.requires_grad = True
     for p in idle.params:
         p.requires_grad = False
     cfg, model = state.cfg, state.model
-    noise, (gen_masks, disc_masks) = draws
-    fake = model.generator_forward(noise, adjs, gen_masks)
-    real = model.discriminator_forward(real_windows[:, :, np.newaxis], adjs, disc_masks)
+    noise, masks = draws
+    fake = model.generator_forward(noise, adjs, masks.pop(0))
+    real = model.discriminator_forward(real_windows[:, :, np.newaxis], adjs, masks.pop(0))
     loss = LOSS_FUNCTIONS[cfg.loss_kind](fake, real, cfg.sig_degree)
     loss.backward()
     opt.step()
@@ -641,12 +688,16 @@ def train(returns, cfg: SigGanConfig, stats: PreprocessStats | None = None) -> T
     One visibility graph is built over the whole series, with lags up to
     seq_len - 1; each batch slices and normalizes the adjacency of its own
     windows, which both player steps share.
+
+    Training runs with OpenBLAS on one thread (`blas.one_thread`), and
+    recurrent stacks of two or more layers split over the caller and the
+    state's worker thread, which ends with the call.
     """
     from .checkpoint import Checkpoint  # local import to avoid a cycle
 
-    state = TrainState(returns, cfg, stats)
-    for _ in range(cfg.epochs):
-        train_epoch(state)
+    with blas.one_thread(), TrainState(returns, cfg, stats) as state:
+        for _ in range(cfg.epochs):
+            train_epoch(state)
     checkpoint = Checkpoint.from_model(state.model, cfg, state.stats)
     return TrainResult(checkpoint=checkpoint, epoch_losses=state.epoch_losses)
 
@@ -672,11 +723,12 @@ def generate(
     each chunk writes only its own rows. No chunk has a single row unless
     one sample is drawn, and every row of a product with two or more rows
     comes out the same whatever the other rows are, so each output equals
-    one unchunked forward over all samples: at a fixed OpenBLAS thread
-    count it does not depend on the number of cores or worker threads,
-    and the first m >= 2 samples do not depend on how many more are
-    drawn. A chunk's error, such as `NumericError`, is raised to the
-    caller.
+    one unchunked forward over all samples. The forwards run with
+    OpenBLAS on one thread (`blas.one_thread`), so the output does not
+    depend on the number of cores or worker threads, and the first m >= 2
+    samples do not depend on how many more are drawn. Each chunk's
+    recurrent stack runs on its own thread, without a worker. A chunk's
+    error, such as `NumericError`, is raised to the caller.
 
     Returns an (n_samples, seq_len) array of log returns.
     """
@@ -718,7 +770,7 @@ def generate(
         outputs[rows] = fake.value[:, :, 0]
 
     workers = min(GENERATE_THREADS, len(sizes))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with blas.one_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
         for _ in pool.map(run_chunk, starts, sizes):
             pass  # reading each result re-raises a chunk's error here
     return invert_pipeline(outputs, stats)

@@ -48,11 +48,19 @@ the bundled fixture file must equal it.
 both sides computed on every call; the package's report, which keeps the
 last real series' side, must give the same values.
 
+`lstm_layer` is one LSTM layer as one graph node, as first written: one
+forward loop and one reverse loop over all steps, with each step's gates
+in their own arrays. `lstm_stack_chain` chains such nodes with an
+`ad.dropout` node after each; the package's one-node stack
+(`layers.lstm_stack`), with or without its worker thread, must give the
+same bits, forward and in every gradient.
+
 `player_step_drawing` is a training step as first written: it draws its
 noise as it starts, and each dropout layer draws its mask
 (`dropout_drawing`) as the forward reaches it, through
-`network_forward_drawing`. A batch of the package's steps on the masks
-`draw_batch` makes before any forward must give the same bits.
+`network_forward_drawing`, whose recurrent layers are `lstm_layer` nodes.
+A batch of the package's steps on the masks `draw_batch` makes before any
+forward must give the same bits.
 """
 
 import math
@@ -67,7 +75,7 @@ from siggraphgan import metrics as mt
 from siggraphgan import preprocess as pp
 from siggraphgan import siggan as sg
 from siggraphgan.baselines import GARCH_BURN_IN
-from siggraphgan.errors import DomainError, ShapeError, SizeError
+from siggraphgan.errors import DomainError, GraphError, ShapeError, SizeError
 from siggraphgan.fixture import fixture_prices
 from siggraphgan.signature import _run_tables, _word_reversal, level_offsets, sig_length
 
@@ -330,6 +338,110 @@ def gradient_check(build_loss, params, h: float = 1e-5) -> float:
     return worst
 
 
+def sigmoid(x):
+    """The logistic function, through tanh as the LSTM gates take it."""
+    return 0.5 * (np.tanh(0.5 * x) + 1.0)
+
+
+def lstm_layer(seq, params):
+    """One LSTM layer as one graph node, as first written: the reference
+    for `layers.lstm_stack`.
+
+    The forward projects the input block by block and keeps each step's
+    gates and states in per-step arrays; the adjoint runs one reverse
+    loop over all steps and then forms the input, input-weight and bias
+    gradients as products over all steps. A second backward raises
+    `GraphError`.
+    """
+    seq = ad.as_tensor(seq)
+    x = seq.value
+    if x.ndim != 3:
+        raise ShapeError(f"lstm expects (batch, time, features), got {x.shape}")
+    batch, steps, features = x.shape
+    if features != params.in_features:
+        raise ShapeError(
+            f"lstm: input features {features} != configured {params.in_features}"
+        )
+    if steps < 1:
+        raise ShapeError("lstm needs at least one time step")
+    w_in, bias, w = params.w_input.value, params.bias.value, params.w_recur.value
+    hidden = params.hidden
+    inputs = {"seq": seq, "w_input": params.w_input, "bias": params.bias, "w_recur": params.w_recur}
+    wanted = [name for name, t in inputs.items() if t.requires_grad]
+    h = np.zeros((batch, hidden))
+    c = np.zeros_like(h)
+    out = np.empty((batch, steps, hidden))
+    saved = []  # per step: gates, previous cell state, tanh of the cell
+    for start, stop in ly._step_blocks(steps):
+        projected = x[:, start:stop, :].reshape(batch * (stop - start), features) @ w_in
+        projected += bias
+        projected = projected.reshape(batch, stop - start, 4 * hidden)
+        for t in range(start, stop):
+            pre = projected[:, t - start, :] + h @ w
+            gate_i = sigmoid(pre[:, :hidden])
+            gate_f = sigmoid(pre[:, hidden : 2 * hidden])
+            gate_g = np.tanh(pre[:, 2 * hidden : 3 * hidden])
+            gate_o = sigmoid(pre[:, 3 * hidden :])
+            c_prev, c = c, gate_f * c + gate_i * gate_g
+            tanh_c = np.tanh(c)
+            h = gate_o * tanh_c
+            out[:, t, :] = h
+            if wanted:
+                saved.append((gate_i, gate_f, gate_g, gate_o, c_prev, tanh_c))
+
+    shared: dict = {}
+
+    def bptt(g, name):
+        # backward() hands every live parent the same g, so the reverse
+        # loop runs once and each vjp takes its own gradient out once
+        if not shared:
+            if not saved:
+                raise GraphError("lstm node was already backpropagated through")
+            gpre = np.empty((batch, steps, 4 * hidden))
+            gh_next = gc_next = 0.0
+            for t in reversed(range(steps)):
+                gate_i, gate_f, gate_g, gate_o, c_prev, tanh_c = saved.pop()
+                gh = g[:, t, :] + gh_next
+                gc = gc_next + gh * gate_o * (1.0 - tanh_c * tanh_c)
+                gpre[:, t, :] = np.concatenate(
+                    [
+                        gc * gate_g * gate_i * (1.0 - gate_i),
+                        gc * c_prev * gate_f * (1.0 - gate_f),
+                        gc * gate_i * (1.0 - gate_g * gate_g),
+                        gh * tanh_c * gate_o * (1.0 - gate_o),
+                    ],
+                    axis=1,
+                )
+                gh_next = gpre[:, t, :] @ w.T
+                gc_next = gc * gate_f
+            # the projection x @ w_in + bias over all B * T rows
+            gpre_rows = gpre.reshape(batch * steps, 4 * hidden)
+            products = {
+                "seq": lambda: (gpre_rows @ w_in.T).reshape(x.shape),
+                "w_input": lambda: x.reshape(batch * steps, features).T @ gpre_rows,
+                "bias": lambda: gpre_rows.sum(axis=0),
+                # sum over steps of h_{t-1}^T @ gpre_t; h_{-1} = 0 drops t = 0
+                "w_recur": lambda: np.tensordot(
+                    out[:, :-1, :], gpre[:, 1:, :], axes=([0, 1], [0, 1])
+                ),
+            }
+            shared.update((n, products[n]()) for n in wanted)
+        return shared.pop(name)
+
+    def vjp(name):
+        return lambda g: bptt(g, name)
+
+    return ad.from_op(out, [(inputs[n], vjp(n)) for n in wanted], "lstm")
+
+
+def lstm_stack_chain(seq, lstms, masks, rate):
+    """A stack of `lstm_layer` nodes, each followed by an `ad.dropout` node."""
+    h = seq
+    for params, mask in zip(lstms, masks, strict=True):
+        h = ad.dropout(lstm_layer(h, params), mask, rate)
+    return h
+
+
 def dropout_drawing(a, rate, rng):
     """Inverted dropout that draws its keep-mask from ``rng`` as it runs.
 
@@ -352,7 +464,7 @@ def network_forward_drawing(net, x, norm_adjacency, rate, rng):
     if net.recurrent is not None:
         h = x
         for lstm in net.recurrent.lstms:
-            h = dropout_drawing(lstm(h), rate, rng)
+            h = dropout_drawing(lstm_layer(h, lstm), rate, rng)
         blocks.append(net.recurrent.head(h))
     if net.geometric is not None:
         h = x

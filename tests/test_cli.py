@@ -254,6 +254,12 @@ class TestGenerate:
             written.append(out.read_bytes())
         assert written[0] == written[1]
 
+    def test_missing_checkpoint_exits_3_with_path(self, price_csv, tmp_path, capsys):
+        missing = tmp_path / "nope.bin"
+        assert cli.main(generate_argv(missing, price_csv, tmp_path)) == 3
+        assert f"cannot read checkpoint {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_out_directory_is_made(self, trained_dir, price_csv, tmp_path):
         out = tmp_path / "new" / "fake.csv"
         argv = generate_argv(trained_dir / "checkpoint.bin", price_csv, tmp_path)

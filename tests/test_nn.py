@@ -1,7 +1,11 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from oracles import comparison_node, gradient_check, tsum
+from oracles import comparison_node, gradient_check, lstm_stack_chain, sigmoid, tsum
 from siggraphgan import autodiff as ad
 from siggraphgan import layers as ly
 from siggraphgan import siggan as sg
@@ -146,6 +150,136 @@ class TestLstm:
         assert sizes[0] == sizes[1]
 
 
+class TestLstmStack:
+    """`layers.lstm_stack` against the chain of one-layer nodes and dropout
+    nodes it replaces (`oracles.lstm_stack_chain`), bit for bit."""
+
+    @staticmethod
+    def stack(rng, depth, features, hidden):
+        init = ly.RandomInit(rng)
+        layers = [ly.LSTM(init, features if i == 0 else hidden, hidden, f"l{i}")
+                  for i in range(depth)]
+        return init.params, layers
+
+    @given(
+        batch=st.integers(1, 4),
+        depth=st.integers(1, 4),
+        steps=st.integers(1, 45),
+        features=st.integers(1, 3),
+        hidden=st.integers(1, 6),
+        rate=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        input_grad=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=2, depth=3, steps=1, features=2, hidden=3, rate=0.3, input_grad=True, seed=0)
+    @example(batch=1, depth=2, steps=2, features=1, hidden=2, rate=0.0, input_grad=True, seed=1)
+    @example(batch=3, depth=4, steps=10, features=1, hidden=4, rate=0.5, input_grad=False, seed=2)
+    @example(batch=2, depth=2, steps=11, features=3, hidden=1, rate=0.2, input_grad=True, seed=3)
+    @example(batch=4, depth=3, steps=21, features=2, hidden=5, rate=0.0, input_grad=False, seed=4)
+    def test_matches_chain_with_and_without_worker(
+        self, batch, depth, steps, features, hidden, rate, input_grad, seed
+    ):
+        rng = np.random.default_rng(seed)
+        params, layers = self.stack(rng, depth, features, hidden)
+        masks = [rng.random((batch, steps, hidden)) >= rate if rate else None for _ in layers]
+        x = rng.standard_normal((batch, steps, features))
+        weights = rng.standard_normal((batch, steps, hidden))
+        results = []
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            for run in (
+                lambda seq: lstm_stack_chain(seq, layers, masks, rate),
+                lambda seq: ly.lstm_stack(seq, layers, masks, rate),
+                lambda seq: ly.lstm_stack(seq, layers, masks, rate, worker),
+            ):
+                for p in params:
+                    p.grad = None
+                seq = ad.Tensor(x, requires_grad=input_grad)
+                out = run(seq)
+                loss = ad.from_op(
+                    np.sum(out.value * weights), [(out, lambda g: g * weights)], "weighted"
+                )
+                loss.backward()
+                grads = [p.grad for p in params] + ([seq.grad] if input_grad else [])
+                results.append((out.value, grads))
+        (expected, expected_grads), *ours = results
+        for value, grads in ours:
+            assert np.array_equal(value, expected)
+            assert len(grads) == len(expected_grads)
+            for mine, theirs in zip(grads, expected_grads):
+                assert np.array_equal(mine, theirs)
+
+    def test_no_grad_forward_keeps_no_per_step_state(self, traced_peak):
+        rng = np.random.default_rng(9)
+        params, layers = self.stack(rng, 4, 2, 32)
+        masks = [rng.random((8, 100, 32)) >= 0.3 for _ in layers]
+        x = ad.Tensor(rng.standard_normal((8, 100, 2)))
+        with_grad = ly.lstm_stack(x, layers, masks, 0.3)
+        for p in params:
+            p.requires_grad = False
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            for pool in (None, worker):
+                with traced_peak() as peak:
+                    out = ly.lstm_stack(x, layers, masks, 0.3, pool)
+                assert out._parents == ()
+                assert np.array_equal(out.value, with_grad.value)
+                # one layer's kept state alone (gates, cells, their tanh and
+                # outputs) is seven times the output's size
+                assert peak.bytes < 7 * out.value.nbytes, peak.bytes / out.value.nbytes
+
+    @pytest.mark.parametrize("on_worker", [True, False])
+    def test_error_reaches_caller_and_frees_worker(self, on_worker):
+        rng = np.random.default_rng(10)
+        params, layers = self.stack(rng, 4, 2, 3)
+        x = rng.standard_normal((2, 25, 2))
+        expected = ly.lstm_stack(ad.Tensor(x), layers).value
+        # the lower half runs on the worker, the upper half on the caller
+        bad = layers[0 if on_worker else 3].w_recur
+        saved = bad.value.copy()
+        bad.value[0, 0] = np.nan
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            with pytest.raises(NumericError, match="lstm"):
+                ly.lstm_stack(ad.Tensor(x), layers, None, 0.0, worker)
+            assert worker.submit(lambda: "idle").result(timeout=30) == "idle"
+            bad.value = saved
+            assert np.array_equal(ly.lstm_stack(ad.Tensor(x), layers, None, 0.0, worker).value,
+                                  expected)
+
+    @pytest.mark.parametrize("first_on_worker", [True, False])
+    @pytest.mark.parametrize("failing", ["first", "second"])
+    def test_pipeline_stage_error_leaves_no_thread_waiting(self, first_on_worker, failing):
+        def stage(name):
+            def run(item, *handed):
+                if name == failing and item == 3:
+                    raise NumericError(f"{name} failed")
+                return item
+            return run
+
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            with pytest.raises(NumericError, match=f"{failing} failed"):
+                ly._pipeline(worker, stage("first"), stage("second"), range(6), first_on_worker)
+            assert worker.submit(lambda: "idle").result(timeout=30) == "idle"
+
+    def test_second_backward_raises(self):
+        rng = np.random.default_rng(11)
+        _, layers = self.stack(rng, 3, 2, 3)
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            loss = tsum(ly.lstm_stack(ad.Tensor(rng.standard_normal((2, 12, 2))), layers,
+                                      None, 0.0, worker))
+            loss.backward()
+            assert all(p.grad is not None for layer in layers for p in layer.parameters())
+            with pytest.raises(GraphError, match="already backpropagated"):
+                loss.backward()
+
+    def test_graph_size_independent_of_depth(self):
+        rng = np.random.default_rng(12)
+        sizes = []
+        for depth in (1, 4):
+            _, layers = self.stack(rng, depth, 2, 3)
+            out = ly.lstm_stack(ad.Tensor(rng.standard_normal((2, 5, 2))), layers)
+            sizes.append(len(ad._toposort(tsum(out))))
+        assert sizes[0] == sizes[1]
+
+
 def lstm_over_full_projection(lstm, x):
     """Reference LSTM forward: the input of all steps projected in one product."""
     batch, steps, features = x.shape
@@ -157,10 +291,10 @@ def lstm_over_full_projection(lstm, x):
     out = np.empty((batch, steps, hidden))
     for t in range(steps):
         pre = gates_in[:, t, :] + h @ lstm.w_recur.value
-        gate_i = ly._sigmoid(pre[:, :hidden])
-        gate_f = ly._sigmoid(pre[:, hidden : 2 * hidden])
+        gate_i = sigmoid(pre[:, :hidden])
+        gate_f = sigmoid(pre[:, hidden : 2 * hidden])
         gate_g = np.tanh(pre[:, 2 * hidden : 3 * hidden])
-        gate_o = ly._sigmoid(pre[:, 3 * hidden :])
+        gate_o = sigmoid(pre[:, 3 * hidden :])
         c = gate_f * c + gate_i * gate_g
         h = gate_o * np.tanh(c)
         out[:, t, :] = h

@@ -1,6 +1,11 @@
 import dataclasses
+import os
 import struct
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import gradient_check, player_step_drawing
 from siggraphgan import autodiff as ad
+from siggraphgan import blas
 from siggraphgan import layers as ly
 from siggraphgan import siggan as sg
 from siggraphgan.checkpoint import (
@@ -459,6 +465,45 @@ class TestTraining:
             for param, (name, value) in zip(params, expected_params):
                 assert np.array_equal(param.value, value), f"parameter {name} differs"
 
+    def test_deep_stacks_run_on_a_worker_that_ends_with_the_state(self):
+        returns = np.random.default_rng(12).standard_normal(30)
+        assert sg.TrainState(returns, tiny_config()).worker is None  # one layer
+        before = set(threading.enumerate())
+        with sg.TrainState(returns, tiny_config(rec_lstm_layers=2)) as state:
+            sg.train_epoch(state)
+            started = [t for t in set(threading.enumerate()) - before
+                       if t.name.startswith("siggraphgan-lstm")]
+            assert len(started) == 1
+        assert not started[0].is_alive()
+        train(returns, tiny_config(rec_lstm_layers=3))
+        assert not [t for t in set(threading.enumerate()) - before
+                    if t.name.startswith("siggraphgan-lstm")]
+
+    @pytest.mark.skipif(blas._thread_count_functions() is None,
+                        reason="numpy's OpenBLAS does not export its thread-count functions")
+    def test_outputs_do_not_depend_on_blas_threads(self):
+        """A kld-shaped train and generate give the same bytes under
+        OPENBLAS_NUM_THREADS=1 and =2; unpinned, the first batch's loss
+        differs in its last digits."""
+        script = textwrap.dedent("""
+            import numpy as np
+            from siggraphgan import siggan as sg
+            cfg = sg.SigGanConfig.for_loss("kld", batch_size=4, epochs=1)
+            returns = np.random.default_rng(5).standard_normal(cfg.seq_len + 3)
+            result = sg.train(returns, cfg)
+            samples = sg.generate(result.checkpoint, 0.01 * returns, 8, seed=1)
+            print(repr(result.epoch_losses), samples.tobytes().hex())
+        """)
+        src = str(Path(sg.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, check=True, timeout=300)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_numeric_error_names_epoch_and_batch(self):
         state = sg.TrainState(np.random.default_rng(6).standard_normal(30), tiny_config())
         sg.train_epoch(state)
@@ -591,7 +636,10 @@ class TestBatchDraws:
 
 class TestPresetMemory:
     # one batch at each tuned preset (seq_len 100, batch 30); measured about
-    # 0.26 GiB for kld and 0.44 GiB for mse, on numpy 2.4 / OpenBLAS 0.3.31
+    # 0.25 GiB for kld and 0.42 GiB for mse, on numpy 2.4 / OpenBLAS 0.3.31,
+    # with each recurrent stack one node and the idle forward's masks freed
+    # once it has run (0.26 and 0.44 GiB with one node per layer and the
+    # masks held through the step)
     @pytest.mark.parametrize("loss_kind, budget_gib", [("kld", 1.2), ("mse", 2.0)])
     def test_one_batch_within_budget(self, loss_kind, budget_gib, traced_peak):
         cfg = SigGanConfig.for_loss(loss_kind, epochs=1)
@@ -604,12 +652,15 @@ class TestPresetMemory:
     def test_kld_batch_of_ten_within_budget(self, traced_peak):
         """One kld batch of 10 at seq_len 100 stays under 130 MiB.
 
-        Measured at about 117 MiB, on numpy 2.4 / OpenBLAS 0.3.31, with
+        Measured at 111-114 MiB, on numpy 2.4 / OpenBLAS 0.3.31, with
         all four forwards' boolean dropout masks drawn at the batch's start
-        (about 4 MB). The LSTM adjoints drop each step's gates and states as
-        the reverse loop uses them, and dropout nodes keep boolean masks. Holding every
-        step's state and all four gradients of each LSTM layer until the
-        step's graph went away, and scaled float masks, peaked at 149 MiB.
+        (about 4 MB). Each recurrent stack is one node whose lower half runs
+        on the training run's worker thread; it writes every step's gradient
+        over that step's gates, and drops each layer's arrays once the
+        layer's weight gradients are formed. One node per LSTM layer and per
+        dropout layer peaked at about 117 MiB; holding every step's state
+        and all four gradients of each LSTM layer until the step's graph
+        went away, and scaled float masks, peaked at 149 MiB.
         """
         cfg = SigGanConfig.for_loss("kld", seq_len=100, batch_size=10, epochs=1)
         returns = np.random.default_rng(11).standard_normal(cfg.seq_len + cfg.batch_size - 1)
@@ -637,11 +688,13 @@ class TestPresetMemory:
     def test_generate_chunk_forward_within_budget(self, traced_peak):
         """One 64-sample kld generator forward without grad stays under 48 MiB.
 
-        Measured at about 28 MiB, on numpy 2.4 / OpenBLAS 0.3.31: each LSTM
-        layer holds its input, its output and one block of projected input.
-        A forward that kept every step's gates for a backward pass and
-        projected the whole sequence at once, in two (B*T, 4H) arrays,
-        peaked at 121 MiB.
+        Measured at about 22 MiB, on numpy 2.4 / OpenBLAS 0.3.31: the
+        recurrent stack holds its output and the blocks in flight, and the
+        geometric LSTM its input, its output and one block of projected
+        input. With one node per recurrent layer, each holding its whole
+        output, it peaked at 28 MiB. A forward that kept every step's gates
+        for a backward pass and projected the whole sequence at once, in two
+        (B*T, 4H) arrays, peaked at 121 MiB.
         """
         cfg = SigGanConfig.for_loss("kld", epochs=0)
         model = SigGraphGan(cfg)
